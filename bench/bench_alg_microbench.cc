@@ -1,13 +1,15 @@
 // google-benchmark microbenchmarks for the analysis pipeline stages:
 // Unfold≤2, Algorithm 1 (summary-graph construction), the type-II test
-// (optimized and naive) and the type-I baseline, on the three benchmarks
-// and on Auction(n).
+// (the production MaskedDetector, plus the optimized and naive graph-copy
+// oracles of tests/support) and the type-I baseline, on the three
+// benchmarks and on Auction(n).
 
 #include <benchmark/benchmark.h>
 
 #include "btp/unfold.h"
 #include "robust/detector.h"
 #include "summary/build_summary.h"
+#include "support/cycle_oracle.h"
 #include "workloads/auction.h"
 #include "workloads/smallbank.h"
 #include "workloads/tpcc.h"
@@ -55,17 +57,27 @@ void BM_TypeII_AuctionN(benchmark::State& state) {
   SummaryGraph graph =
       BuildSummaryGraph(workload.programs, AnalysisSettings::AttrDepFk());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(FindTypeIICycle(graph));
+    benchmark::DoNotOptimize(IsRobust(graph, Method::kTypeII));
   }
 }
 BENCHMARK(BM_TypeII_AuctionN)->Arg(5)->Arg(20)->Arg(50)->Arg(100);
+
+void BM_TypeIIOracle_AuctionN(benchmark::State& state) {
+  Workload workload = MakeAuctionN(static_cast<int>(state.range(0)));
+  SummaryGraph graph =
+      BuildSummaryGraph(workload.programs, AnalysisSettings::AttrDepFk());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(oracle::FindTypeIICycle(graph));
+  }
+}
+BENCHMARK(BM_TypeIIOracle_AuctionN)->Arg(5)->Arg(20)->Arg(50)->Arg(100);
 
 void BM_TypeIINaive_AuctionN(benchmark::State& state) {
   Workload workload = MakeAuctionN(static_cast<int>(state.range(0)));
   SummaryGraph graph =
       BuildSummaryGraph(workload.programs, AnalysisSettings::AttrDepFk());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(FindTypeIICycleNaive(graph));
+    benchmark::DoNotOptimize(oracle::FindTypeIICycleNaive(graph));
   }
 }
 BENCHMARK(BM_TypeIINaive_AuctionN)->Arg(5)->Arg(10);
@@ -75,7 +87,7 @@ void BM_TypeI_Tpcc(benchmark::State& state) {
   SummaryGraph graph =
       BuildSummaryGraph(workload.programs, AnalysisSettings::AttrDepFk());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(FindTypeICycle(graph));
+    benchmark::DoNotOptimize(IsRobust(graph, Method::kTypeI));
   }
 }
 BENCHMARK(BM_TypeI_Tpcc);

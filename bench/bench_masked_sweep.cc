@@ -4,7 +4,8 @@
 //   1. the masked sweep (AnalyzeSubsetsOnGraph -> MaskedDetector), and
 //   2. an oracle sweep replicating the pre-masked-detector path: the same
 //      Proposition 5.2 pruning, but each undecided mask pays
-//      SummaryGraph::InducedSubgraph + IsRobust from scratch,
+//      SummaryGraph::InducedSubgraph + the graph-copy cycle search of
+//      tests/support/cycle_oracle.h (oracle::IsRobust) from scratch,
 // asserts the two reports are bit-identical (exit 1 otherwise — CI runs
 // this as the masked-vs-oracle gate), verifies the detector's
 // allocation-free contract with a global operator-new counter (exit 1 when
@@ -42,6 +43,7 @@
 #include "robust/masked_detector.h"
 #include "robust/subsets.h"
 #include "summary/build_summary.h"
+#include "support/cycle_oracle.h"
 #include "util/json.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -117,7 +119,7 @@ PreparedWorkload Prepare(const Workload& workload, const AnalysisSettings& setti
 }
 
 // The pre-masked-detector sweep: identical mask order and Proposition 5.2
-// pruning, with the per-mask InducedSubgraph + IsRobust cost this benchmark
+// pruning, with the per-mask InducedSubgraph + oracle::IsRobust cost this benchmark
 // exists to measure against. (It skips the maximal-mask postprocessing the
 // real entry point performs, which flatters the oracle slightly — the
 // reported speedups are lower bounds.)
@@ -142,7 +144,7 @@ std::vector<uint32_t> OracleSweep(const PreparedWorkload& w, Method method) {
           for (int p = w.ltp_range[i].first; p < w.ltp_range[i].second; ++p) keep[p] = true;
         }
       }
-      if (!IsRobust(w.graph.InducedSubgraph(keep), method)) continue;
+      if (!oracle::IsRobust(w.graph.InducedSubgraph(keep), method)) continue;
       for (uint32_t sub = mask; sub != 0; sub = (sub - 1) & mask) known_robust[sub] = 1;
     }
     robust.push_back(mask);

@@ -33,8 +33,10 @@ int main() {
   std::vector<Btp> bal_dc_ts{workload.programs[1], workload.programs[2],
                              workload.programs[3]};
   SummaryGraph graph = BuildSummaryGraph(bal_dc_ts, AnalysisSettings::AttrDepFk());
-  if (std::optional<TypeIIWitness> witness = FindTypeIICycle(graph)) {
-    std::printf("\n{Bal, DC, TS} is rejected — %s\n", witness->Describe(graph).c_str());
+  CycleTestOutcome outcome =
+      RunCycleTest(graph, Method::kTypeII, GetPolicy(IsolationLevel::kMvrc));
+  if (!outcome.robust) {
+    std::printf("\n{Bal, DC, TS} is rejected — %s\n", outcome.witness.c_str());
   }
 
   // ... and certify the rejection with a real schedule: two Balance reads

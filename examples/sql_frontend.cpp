@@ -77,10 +77,11 @@ int main() {
   // Adding Audit breaks robustness: its read-then-rewrite of price in two
   // separate statements is a classic lost-update pattern.
   SummaryGraph full = BuildSummaryGraph(workload.programs, AnalysisSettings::AttrDepFk());
-  std::printf("\nwith Audit added: %s\n",
-              IsRobust(full, Method::kTypeII) ? "robust (UNEXPECTED)" : "not robust");
-  if (std::optional<TypeIIWitness> witness = FindTypeIICycle(full)) {
-    std::printf("%s\n", witness->Describe(full).c_str());
+  CycleTestOutcome outcome =
+      RunCycleTest(full, Method::kTypeII, GetPolicy(IsolationLevel::kMvrc));
+  std::printf("\nwith Audit added: %s\n", outcome.robust ? "robust (UNEXPECTED)" : "not robust");
+  if (!outcome.robust) {
+    std::printf("%s\n", outcome.witness.c_str());
     std::printf(
         "\n(two concurrent Audits of the same event both read the old price\n"
         "and both rewrite it — a lost update that read committed permits.)\n");

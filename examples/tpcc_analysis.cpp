@@ -51,17 +51,20 @@ int main() {
   SummaryGraph graph = BuildSummaryGraph(os_pay_sl, AnalysisSettings::AttrDepFk());
   std::printf("\n{OS, Pay, SL} summary graph: %d edges (%d counterflow)\n",
               graph.num_edges(), graph.num_counterflow_edges());
-  if (std::optional<TypeIWitness> witness = FindTypeICycle(graph)) {
+  const IsolationPolicy& mvrc = GetPolicy(IsolationLevel::kMvrc);
+  CycleTestOutcome type1 = RunCycleTest(graph, Method::kTypeI, mvrc);
+  if (!type1.robust) {
     std::printf("  type-I cycle exists (%s)\n  ... but no type-II cycle: %s\n",
-                witness->Describe(graph).c_str(),
-                FindTypeIICycle(graph).has_value() ? "UNEXPECTED" : "robust");
+                type1.witness.c_str(),
+                IsRobust(graph, Method::kTypeII, mvrc) ? "robust" : "UNEXPECTED");
   }
 
   // NewOrder + Delivery: phantoms through inserts and deletes on New_Order.
   std::vector<Btp> no_del{workload.programs[0], workload.programs[3]};
   SummaryGraph no_del_graph = BuildSummaryGraph(no_del, AnalysisSettings::AttrDepFk());
-  if (std::optional<TypeIIWitness> witness = FindTypeIICycle(no_del_graph)) {
-    std::printf("\n{NO, Del} rejected — %s\n", witness->Describe(no_del_graph).c_str());
+  CycleTestOutcome no_del_outcome = RunCycleTest(no_del_graph, Method::kTypeII, mvrc);
+  if (!no_del_outcome.robust) {
+    std::printf("\n{NO, Del} rejected — %s\n", no_del_outcome.witness.c_str());
   }
   return 0;
 }

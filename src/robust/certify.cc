@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "btp/unfold.h"
+#include "robust/masked_detector.h"
 #include "summary/build_summary.h"
 
 namespace mvrc {
@@ -37,7 +38,10 @@ CertificationOutcome CertifyRobustness(const Workload& workload,
   CertificationOutcome outcome;
   std::vector<Ltp> ltps = UnfoldAtMost2(workload.programs);
   SummaryGraph graph = BuildSummaryGraph(std::move(ltps), settings);
-  outcome.witness = FindTypeIICycle(graph);
+  // Algorithm 2 under MVRC, as the full-set query of a single-range detector.
+  MaskedDetector detector(graph, {{0, graph.num_programs()}});
+  DetectorScratch scratch = detector.MakeScratch();
+  outcome.witness = detector.FindTypeIICycle(ProgramSet::Full(1), scratch);
   outcome.detector_robust = !outcome.witness.has_value();
   if (outcome.detector_robust) return outcome;
 

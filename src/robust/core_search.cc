@@ -23,7 +23,6 @@ namespace {
 // barrier so no shared counters are touched from workers.
 struct CandidateOutcome {
   int verdict = -1;  // -1 unknown, 0 non-robust, 1 robust
-  bool from_hook = false;
   bool trivially_robust = false;  // empty candidate; no detector/hook traffic
   int64_t candidate_queries = 0;
   int64_t cache_hits = 0;
@@ -212,11 +211,9 @@ Result<SubsetReport> AnalyzeSubsetsCoreGuided(const MaskedDetector& detector, Me
         "core-guided subset analysis supports 1.." + std::to_string(kMaxCoreSearchPrograms) +
         " programs (got " + std::to_string(n) + ")");
   }
-  // Wide hooks memoize every query at any accepted n; without them, the
-  // narrow (uint32_t-mask) hooks cover candidate verdicts up to 32 programs.
+  // The wide hooks, when both are set, memoize every query.
   const SubsetSweepHooks* wide =
       hooks != nullptr && hooks->wide_lookup && hooks->wide_store ? hooks : nullptr;
-  const bool use_narrow = wide == nullptr && hooks != nullptr && n <= 32;
 
   TraceSpan span("core/search", "programs=" + std::to_string(n));
   Stopwatch timer;
@@ -250,13 +247,10 @@ Result<SubsetReport> AnalyzeSubsetsCoreGuided(const MaskedDetector& detector, Me
     candidates.reserve(batch);
     for (const ProgramSet& hs : unconfirmed) candidates.push_back(hs.Complement());
 
-    // Phase A prep (calling thread): trivial candidates, then the narrow
-    // hooks (calling-thread-only by contract). Only a cached "robust"
-    // settles a narrow candidate — a cached "non-robust" still needs the
-    // detector pass, so it re-runs below (and is not re-stored). Wide-hook
-    // lookups instead happen inside the workers, where either cached
-    // verdict settles the candidate (extraction no longer needs the
-    // candidate's own witness query up front).
+    // Phase A prep (calling thread): settle the trivial candidate. Wide-hook
+    // lookups happen inside the workers, where either cached verdict
+    // settles the candidate (extraction does not need the candidate's own
+    // witness query up front).
     std::vector<CandidateOutcome> outcomes(batch);
     std::vector<size_t> todo;
     for (size_t i = 0; i < batch; ++i) {
@@ -268,16 +262,6 @@ Result<SubsetReport> AnalyzeSubsetsCoreGuided(const MaskedDetector& detector, Me
         outcomes[i].verdict = 1;
         outcomes[i].trivially_robust = true;
         continue;
-      }
-      if (use_narrow && hooks->lookup) {
-        std::optional<bool> cached = hooks->lookup(candidates[i].ToMask());
-        if (cached.has_value()) {
-          outcomes[i].from_hook = true;
-          if (*cached) {
-            outcomes[i].verdict = 1;
-            continue;
-          }
-        }
       }
       todo.push_back(i);
     }
@@ -296,14 +280,13 @@ Result<SubsetReport> AnalyzeSubsetsCoreGuided(const MaskedDetector& detector, Me
 
     std::vector<size_t> pending;  // non-robust candidates awaiting a core
     for (size_t i = 0; i < batch; ++i) {
-      CandidateOutcome& out = outcomes[i];
+      const CandidateOutcome& out = outcomes[i];
       counts.candidate_queries += out.candidate_queries;
       counts.cache_hits += out.cache_hits;
       counts.cache_misses += out.cache_misses;
       if (wide != nullptr && !out.trivially_robust && out.candidate_queries == 0) {
-        out.from_hook = true;  // the wide cache settled the verdict
+        ++counts.hook_hits;  // the wide cache settled the verdict
       }
-      if (out.from_hook) ++counts.hook_hits;
       if (out.verdict != 1) pending.push_back(i);
     }
 
@@ -380,13 +363,12 @@ Result<SubsetReport> AnalyzeSubsetsCoreGuided(const MaskedDetector& detector, Me
     });
 
     // Barrier: merge counters and cores in deterministic order (batch index
-    // order, then task order, then fallbacks), feed the narrow hooks, split
-    // the batch into confirmed hitting sets and survivors, and repair the
-    // family. Dedup is batch-level (two tasks can shrink onto the same
-    // core); cross-batch duplicates are impossible — every candidate (hence
-    // every chunk and every extracted core inside one) contains no
-    // previously known core, and cores are pairwise incomparable by
-    // minimality.
+    // order, then task order, then fallbacks), split the batch into
+    // confirmed hitting sets and survivors, and repair the family. Dedup is
+    // batch-level (two tasks can shrink onto the same core); cross-batch
+    // duplicates are impossible — every candidate (hence every chunk and
+    // every extracted core inside one) contains no previously known core,
+    // and cores are pairwise incomparable by minimality.
     std::vector<ProgramSet> new_cores;
     auto absorb = [&](ExtractResult& res) {
       counts.probe_queries += res.probe_queries;
@@ -404,11 +386,7 @@ Result<SubsetReport> AnalyzeSubsetsCoreGuided(const MaskedDetector& detector, Me
 
     std::vector<ProgramSet> still_unconfirmed;
     for (size_t i = 0; i < batch; ++i) {
-      CandidateOutcome& out = outcomes[i];
-      if (use_narrow && hooks->store && !out.from_hook && !out.trivially_robust) {
-        hooks->store(candidates[i].ToMask(), out.verdict == 1);
-      }
-      if (out.verdict == 1) {
+      if (outcomes[i].verdict == 1) {
         confirmed.push_back(std::move(unconfirmed[i]));
       } else {
         still_unconfirmed.push_back(std::move(unconfirmed[i]));

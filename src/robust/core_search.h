@@ -113,7 +113,7 @@ struct CoreSearchStats {
   int64_t witness_queries = 0;    // witness extractions on non-robust subsets
   int64_t cache_hits = 0;         // wide-hook verdicts served, any purpose
   int64_t cache_misses = 0;       // wide-hook lookups that reached the detector
-  int64_t hook_hits = 0;          // candidate verdicts answered by hooks
+  int64_t hook_hits = 0;          // candidate verdicts answered by the wide hooks
   int rounds = 0;                 // candidate-batch iterations
   int fallback_extractions = 0;   // candidates whose chunks all probed robust
 };
@@ -123,13 +123,11 @@ struct CoreSearchStats {
 /// representation of the same verdicts (SubsetReport::cores /
 /// maximal_sets; robust_masks is additionally materialized when
 /// num_programs() <= kMaxSubsetPrograms, for differential comparison).
-/// `hooks` follow the SubsetSweepHooks contract. When the wide pair
-/// (wide_lookup/wide_store) is set, it memoizes EVERY IsRobust evaluation —
-/// candidates, chunk probes, shrink tests — at any accepted program count,
-/// and is invoked from pool workers (must be thread-safe). Otherwise the
-/// narrow pair is consulted/fed for candidate masks only, from the calling
-/// thread only, and only when num_programs() <= 32 (its currency is
-/// uint32_t masks); shrink queries bypass it. Errors: program count outside
+/// `hooks` follow the SubsetSweepHooks contract: the search reads only the
+/// wide pair (wide_lookup/wide_store), which, when both are set, memoizes
+/// EVERY IsRobust evaluation — candidates, chunk probes, shrink tests — at
+/// any accepted program count, and is invoked from pool workers (must be
+/// thread-safe). The narrow pair is ignored. Errors: program count outside
 /// [1, kMaxCoreSearchPrograms], or the hitting-set family exceeding
 /// options.max_lattice_sets.
 Result<SubsetReport> AnalyzeSubsetsCoreGuided(const MaskedDetector& detector, Method method,

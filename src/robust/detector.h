@@ -22,15 +22,14 @@
 // All tests are sound but incomplete: `false` does not imply the workload
 // is actually non-robust (Proposition 6.5).
 //
-// Two MVRC type-II implementations are provided: FindTypeIICycleNaive
-// follows Algorithm 2 literally (O(|E|^3) edge triples with per-pair
-// reachability); FindTypeIICycle factors the reachability conjunction
-// through boolean matrix products and is the default. They are
-// equivalence-tested and compared in bench/bench_ablation.
-//
-// The Find* functions are the per-closure building blocks; IsRobust and
-// RunCycleTest are the policy-correct entry points that pick the right
-// search for the policy's CycleClosure.
+// One engine runs every test: MaskedDetector (robust/masked_detector.h).
+// This header holds the witness types it returns, the shared adjacent-pair
+// condition, and the whole-graph entry points — IsRobust, RunCycleTest and
+// IsRobustUnder build a detector with a single program range over their
+// graph and query the full set. Callers that already hold a detector (the
+// analysis service) call the MaskedDetector overload of RunCycleTest
+// directly. The graph-copy searches that follow Algorithm 2 literally are
+// kept in tests/support/ as the oracle the detector is tested against.
 
 #ifndef MVRC_ROBUST_DETECTOR_H_
 #define MVRC_ROBUST_DETECTOR_H_
@@ -84,16 +83,15 @@ struct RcSplitWitness {
 
 /// Detection methods.
 enum class Method {
-  kTypeI,        // baseline [3]
-  kTypeII,       // policy cycle test, optimized implementation
-  kTypeIINaive,  // policy cycle test, literal implementation (MVRC only;
-                 // kDirect policies share the optimized search)
+  kTypeI,   // baseline [3]
+  kTypeII,  // the isolation policy's cycle test
 };
 
 /// Algorithm 2's innermost disjunct for an adjacent edge pair e3 =
 /// (P3,q3,c,q4,P4) and e4 = (P4,q4',cf,q5,P5), dispatched through `policy`
-/// (see IsolationPolicy::DangerousAdjacentPair). Shared by the cycle
-/// searches and the MaskedDetector precomputation (robust/masked_detector.h).
+/// (see IsolationPolicy::DangerousAdjacentPair). Shared by the
+/// MaskedDetector precomputation and witness searches and by the test
+/// oracle.
 bool AdjacentPairCondition(const SummaryGraph& graph, const SummaryEdge& e3,
                            const SummaryEdge& e4, const IsolationPolicy& policy);
 
@@ -101,37 +99,21 @@ bool AdjacentPairCondition(const SummaryGraph& graph, const SummaryEdge& e3,
 bool AdjacentPairCondition(const SummaryGraph& graph, const SummaryEdge& e3,
                            const SummaryEdge& e4);
 
-/// Returns a type-I cycle witness, or nullopt when none exists.
-std::optional<TypeIWitness> FindTypeICycle(const SummaryGraph& graph);
-
-/// Returns a type-II cycle witness, or nullopt when none exists. Runs the
-/// through-nc closure search; meaningful for
-/// CycleClosure::kThroughNonCounterflowEdge policies.
-std::optional<TypeIIWitness> FindTypeIICycle(
-    const SummaryGraph& graph,
-    const IsolationPolicy& policy = GetPolicy(IsolationLevel::kMvrc));
-
-/// Literal Algorithm 2. Equivalent to FindTypeIICycle (the found witnesses
-/// may differ; existence agrees).
-std::optional<TypeIIWitness> FindTypeIICycleNaive(
-    const SummaryGraph& graph,
-    const IsolationPolicy& policy = GetPolicy(IsolationLevel::kMvrc));
-
-/// Returns a split-cycle witness under a CycleClosure::kDirect policy, or
-/// nullopt when none exists.
-std::optional<RcSplitWitness> FindRcSplitCycle(
-    const SummaryGraph& graph, const IsolationPolicy& policy = GetPolicy(IsolationLevel::kRc));
-
-/// True when `graph` passes the chosen test under `policy`.
+/// True when `graph` passes the chosen test under `policy`: one full-set
+/// query on a single-range MaskedDetector over `graph`.
 bool IsRobust(const SummaryGraph& graph, Method method,
               const IsolationPolicy& policy = GetPolicy(IsolationLevel::kMvrc));
 
-/// Verdict plus rendered witness (empty when robust) — the shared
-/// check-and-describe path of the report builder and the analysis service.
+/// Verdict plus rendered witness (empty when robust).
 struct CycleTestOutcome {
   bool robust = true;
   std::string witness;
 };
+
+/// The whole-graph check-and-describe path of the report builder, the CLI
+/// and the benchmarks: builds a single-range MaskedDetector over `graph`
+/// and runs the MaskedDetector overload of RunCycleTest
+/// (robust/masked_detector.h) on the full set.
 CycleTestOutcome RunCycleTest(const SummaryGraph& graph, Method method,
                               const IsolationPolicy& policy);
 

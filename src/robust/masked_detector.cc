@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/bits.h"
 #include "util/check.h"
+#include "util/stopwatch.h"
 
 namespace mvrc {
 
@@ -267,7 +270,6 @@ bool MaskedDetector::IsRobustActive(Method method, DetectorScratch& scratch) con
     case Method::kTypeI:
       return !HasTypeICycleActive(scratch);
     case Method::kTypeII:
-    case Method::kTypeIINaive:
       return policy_->closure() == CycleClosure::kDirect ? !HasRcSplitCycleActive(scratch)
                                                          : !HasTypeIICycleActive(scratch);
   }
@@ -350,7 +352,7 @@ std::optional<TypeIIWitness> MaskedDetector::FindTypeIICycle(const ProgramSet& m
 std::optional<TypeIIWitness> MaskedDetector::FindTypeIICycleActive(
     DetectorScratch& scratch) const {
   const uint64_t* active = scratch.active.data();
-  // Mirrors FindTypeIICycle(const SummaryGraph&) on the induced subgraph:
+  // Mirrors oracle::FindTypeIICycle (tests/support) on the induced subgraph:
   // same P4 order (active nodes ascending), same edge orders (induced
   // subgraphs preserve edge order), so the first witness found is the same.
   for (int p4 = 0; p4 < num_ltps_; ++p4) {
@@ -405,7 +407,7 @@ std::optional<RcSplitWitness> MaskedDetector::FindRcSplitCycle(const ProgramSet&
 std::optional<RcSplitWitness> MaskedDetector::FindRcSplitCycleActive(
     DetectorScratch& scratch) const {
   const uint64_t* active = scratch.active.data();
-  // Mirrors FindRcSplitCycle(const SummaryGraph&) on the induced subgraph:
+  // Mirrors oracle::FindRcSplitCycle (tests/support) on the induced subgraph:
   // same split-program order (active nodes ascending), same edge orders
   // (induced subgraphs preserve edge order), so the first witness found is
   // the same.
@@ -429,6 +431,33 @@ std::optional<RcSplitWitness> MaskedDetector::FindRcSplitCycleActive(
     }
   }
   return std::nullopt;
+}
+
+CycleTestOutcome RunCycleTest(const MaskedDetector& detector, const ProgramSet& subset,
+                              Method method) {
+  TraceSpan span("detect/cycle_test", "programs=" + std::to_string(detector.num_ltps()));
+  Stopwatch timer;
+  static Counter* tests = MetricsRegistry::Global().counter("detector.cycle_tests");
+  static Histogram* test_us = MetricsRegistry::Global().histogram("detector.cycle_test_us");
+  tests->Add(1);
+  DetectorScratch scratch = detector.MakeScratch();
+  CycleTestOutcome outcome;
+  outcome.robust = detector.IsRobust(subset, method, scratch);
+  if (!outcome.robust) {
+    auto describe = [&](const auto& witness) {
+      MVRC_CHECK_MSG(witness.has_value(), "a non-robust verdict must yield a witness");
+      outcome.witness = witness->Describe(detector.graph());
+    };
+    if (method == Method::kTypeI) {
+      describe(detector.FindTypeICycle(subset, scratch));
+    } else if (detector.policy().closure() == CycleClosure::kDirect) {
+      describe(detector.FindRcSplitCycle(subset, scratch));
+    } else {
+      describe(detector.FindTypeIICycle(subset, scratch));
+    }
+  }
+  test_us->Record(timer.ElapsedMicros());
+  return outcome;
 }
 
 }  // namespace mvrc

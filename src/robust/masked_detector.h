@@ -1,11 +1,8 @@
-// Mask-native robustness detection: the allocation-free fast path of the
-// subset sweeps (Figures 6/7, Proposition 5.2).
+// The cycle-test engine: every robustness verdict in the library — the
+// full-set check, the exhaustive subset sweep (Figures 6/7, Proposition
+// 5.2) and the core-guided lattice search — is a MaskedDetector query.
 //
-// AnalyzeSubsets tests up to 2^20 program subsets against one fixed summary
-// graph. The original path paid a SummaryGraph::InducedSubgraph per mask —
-// deep-copying Ltp programs, rebuilding adjacency, and recomputing
-// reachability from scratch. A MaskedDetector instead precomputes, once per
-// SummaryGraph:
+// A MaskedDetector precomputes, once per SummaryGraph:
 //
 //   * flat per-LTP adjacency rows as word-packed bitsets (all edges, and
 //     non-counterflow edges separately),
@@ -20,16 +17,20 @@
 // the active-LTP set is the OR of the per-BTP bitsets, and reachability is
 // a bitset BFS over adjacency rows ANDed with the active set, computed
 // lazily per needed source row into caller-owned DetectorScratch. Detection
-// is O(active edges) word operations instead of O(graph copy).
+// is O(active edges) word operations, with no graph copy per subset. A
+// whole-graph verdict is the full-set query on a detector with one program
+// range (see RunCycleTest below and in robust/detector.h).
 //
 // Verdicts — and the witnesses of the Find* variants — are identical to
-// running FindTypeICycle / FindTypeIICycle on
+// running the graph-copy searches of tests/support/cycle_oracle.h on
 // graph.InducedSubgraph(mask-selected programs): the masked search visits
 // edges in the same order the induced subgraph would (induced subgraphs
 // preserve edge order), so even the first-found witness matches up to the
-// node re-indexing. tests/masked_detector_test.cc asserts this
-// differentially against the InducedSubgraph oracle on randomized and
-// builtin workloads for every mask.
+// node re-indexing. Those searches are the parity oracle:
+// tests/masked_detector_test.cc and tests/isolation_policy_test.cc assert
+// verdict and witness agreement for every mask of randomized and builtin
+// workloads, and tests/cycle_engine_test.cc does the same for the
+// whole-graph RunCycleTest.
 //
 // Two mask encodings are accepted, selecting identical code paths after the
 // active set is formed:
@@ -38,7 +39,7 @@
 //     num_programs() <= 32 (a bit per program), and
 //   * `ProgramSet` wide masks (robust/program_set.h) — word-packed subsets
 //     with no program-count ceiling, the encoding of the core-guided search
-//     (robust/core_search.h) that analyzes 100+ program workloads.
+//     (robust/core_search.h) and of the full-set check.
 //
 // For num_programs() <= 32 the two encodings of the same subset produce the
 // same verdict and the same witness (tests/core_search_test.cc pins the
@@ -103,10 +104,9 @@ class MaskedDetector {
   DetectorScratch MakeScratch() const;
 
   /// True when the subset selected by `mask` passes the chosen cycle test
-  /// under the detector's policy. Equal to
-  /// IsRobust(graph().InducedSubgraph(...), method, policy()) for every
-  /// mask; performs no heap allocation. kTypeIINaive shares the type-II
-  /// verdict (the two implementations are equivalent by construction).
+  /// under the detector's policy. Equal to the test oracle's
+  /// oracle::IsRobust(graph().InducedSubgraph(...), method, policy()) for
+  /// every mask; performs no heap allocation.
   /// The uint32_t overloads require num_programs() <= 32; the ProgramSet
   /// overloads accept any program count and agree bit-for-bit where both
   /// encodings apply.
@@ -124,12 +124,13 @@ class MaskedDetector {
   bool HasTypeIICycle(const ProgramSet& mask, DetectorScratch& scratch) const;
   bool HasRcSplitCycle(const ProgramSet& mask, DetectorScratch& scratch) const;
 
-  /// Witness-producing variants, mirroring FindTypeICycle / FindTypeIICycle
-  /// on the induced subgraph: the returned witness references full-graph
-  /// node indices (Describe it against graph()) and names the same edges and
-  /// path programs the oracle would find. These allocate (witness vectors)
-  /// and are meant for reporting — and for the core-guided search's witness
-  /// extraction — not for the sweep's hot loop.
+  /// Witness-producing variants, mirroring the oracle's FindTypeICycle /
+  /// FindTypeIICycle / FindRcSplitCycle on the induced subgraph: the
+  /// returned witness references full-graph node indices (Describe it
+  /// against graph()) and names the same edges and path programs the oracle
+  /// would find. These allocate (witness vectors)
+  /// and are meant for reporting (RunCycleTest) and for the core-guided
+  /// search's witness extraction, not for the sweep's hot loop.
   std::optional<TypeIWitness> FindTypeICycle(uint32_t mask, DetectorScratch& scratch) const;
   std::optional<TypeIIWitness> FindTypeIICycle(uint32_t mask, DetectorScratch& scratch) const;
   std::optional<RcSplitWitness> FindRcSplitCycle(uint32_t mask, DetectorScratch& scratch) const;
@@ -192,6 +193,18 @@ class MaskedDetector {
   std::vector<int> cf_edges_;       // counterflow edge indices, edge order
   std::vector<uint64_t> pair_srcs_;  // |cf_edges_| x words: valid e3 sources
 };
+
+/// The cycle test of `method` under the detector's policy on `subset`, with
+/// the witness rendered against detector.graph() when the subset is not
+/// robust — the one check-and-describe path behind every full-set verdict
+/// (WorkloadSession::Check, and through the SummaryGraph overload in
+/// robust/detector.h the report builder, the CLI and the benchmarks).
+/// Records the detector.cycle_tests counter and the
+/// detector.cycle_test_us histogram. Allocates its own scratch; the
+/// witness is searched only after the allocation-free verdict query says
+/// there is one.
+CycleTestOutcome RunCycleTest(const MaskedDetector& detector, const ProgramSet& subset,
+                              Method method);
 
 }  // namespace mvrc
 

@@ -4,6 +4,7 @@
 #include <iterator>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "btp/unfold.h"
@@ -323,10 +324,11 @@ Result<SubsetReport> TryAnalyzeSubsets(const std::vector<Btp>& programs,
 SubsetReport AnalyzeSubsets(const std::vector<Btp>& programs, const AnalysisSettings& settings,
                             Method method) {
   Result<SubsetReport> report = TryAnalyzeSubsets(programs, settings, method);
+  // The message is CheckProgramCount's, which states the bounds from
+  // kMaxSubsetPrograms; only evaluated on failure.
   MVRC_CHECK_MSG(report.ok(),
-                 "subset analysis supports 1..20 programs: subsets are encoded as 32-bit "
-                 "masks and 2^20 is the largest sweep that stays tractable — use "
-                 "TryAnalyzeSubsets for a non-aborting error path");
+                 (report.error() + " — use TryAnalyzeSubsets for a non-aborting error path")
+                     .c_str());
   return std::move(report).value();
 }
 

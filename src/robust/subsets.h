@@ -108,28 +108,34 @@ struct SubsetReport {
   std::vector<std::string> DescribeCores(const std::vector<std::string>& names) const;
 };
 
-/// Optional memoization hooks for the sweep, used by the incremental
-/// analysis service (src/service/) to reuse verdicts across workload
-/// mutations. `lookup(mask)` is consulted before the detector runs on a mask
-/// the Proposition 5.2 pruning left undecided; a returned value is taken as
-/// the verdict and the detector is skipped. `store(mask, robust)` is called
-/// exactly once for every mask the detector actually evaluated. Hooks never
-/// change the report (assuming `lookup` returns correct verdicts): they only
-/// shortcut detector invocations. The narrow (uint32_t) callbacks are
-/// invoked from the calling thread only, never from pool workers.
+/// Optional memoization hooks, used by the incremental analysis service
+/// (src/service/) to reuse verdicts across requests and workload mutations.
+/// Hooks never change the report (assuming lookups return correct
+/// verdicts): they only shortcut detector invocations. Each regime reads
+/// its own pair:
 ///
-/// The wide pair is the core-guided search's currency (core_search.h): when
+/// The narrow (uint32_t) pair belongs to the exhaustive sweep.
+/// `lookup(mask)` is consulted before the detector runs on a mask the
+/// Proposition 5.2 pruning left undecided; a returned value is taken as the
+/// verdict and the detector is skipped. `store(mask, robust)` is called
+/// exactly once for every mask the detector actually evaluated. The narrow
+/// callbacks are invoked from the calling thread only, never from pool
+/// workers.
+///
+/// The wide pair belongs to the core-guided search (core_search.h): when
 /// both wide callbacks are set, every IsRobust evaluation of the search —
 /// candidate tests, chunk probes, greedy shrink tests — consults
 /// `wide_lookup` first and feeds `wide_store` with what the detector
-/// decided, for any program count the search accepts. Unlike the narrow
-/// pair, the wide callbacks ARE invoked from pool workers concurrently, so
-/// they must be thread-safe (the service backs them with the internally
-/// synchronized VerdictCache); and a cached non-robust verdict is trusted
-/// outright — the search extracts a witness from the subset without
-/// re-verifying, so an incorrect `wide_lookup` aborts rather than
-/// mis-reporting. When the wide pair is set the narrow pair is ignored by
-/// the core-guided search.
+/// decided, for any program count the search accepts. The wide callbacks
+/// ARE invoked from pool workers concurrently, so they must be thread-safe
+/// (the service backs them with the internally synchronized VerdictCache);
+/// and a cached non-robust verdict is trusted outright — the search
+/// extracts a witness from the subset without re-verifying, so an incorrect
+/// `wide_lookup` aborts rather than mis-reporting.
+///
+/// The service backs both pairs with one VerdictCache keyed by
+/// WideFingerprints, lifting narrow masks with ProgramSet::FromMask, so the
+/// two regimes and the full-set check share one key space.
 struct SubsetSweepHooks {
   std::function<std::optional<bool>(uint32_t)> lookup;
   std::function<void(uint32_t, bool)> store;

@@ -54,7 +54,7 @@ WideFingerprint WideFingerprinter::Of(const ProgramSet& subset) const {
   return fp;
 }
 
-std::optional<bool> VerdictCache::Lookup(const std::string& fingerprint) {
+std::optional<bool> VerdictCache::Lookup(const WideFingerprint& fingerprint) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = verdicts_.find(fingerprint);
   if (it == verdicts_.end()) {
@@ -65,18 +65,7 @@ std::optional<bool> VerdictCache::Lookup(const std::string& fingerprint) {
   return it->second;
 }
 
-std::optional<bool> VerdictCache::Lookup(const WideFingerprint& fingerprint) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = wide_verdicts_.find(fingerprint);
-  if (it == wide_verdicts_.end()) {
-    ++misses_;
-    return std::nullopt;
-  }
-  ++hits_;
-  return it->second;
-}
-
-void VerdictCache::Store(const std::string& fingerprint, bool robust) {
+void VerdictCache::Store(const WideFingerprint& fingerprint, bool robust) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (verdicts_.size() >= kMaxEntries && !verdicts_.count(fingerprint)) {
     verdicts_.clear();
@@ -84,23 +73,14 @@ void VerdictCache::Store(const std::string& fingerprint, bool robust) {
   verdicts_[fingerprint] = robust;
 }
 
-void VerdictCache::Store(const WideFingerprint& fingerprint, bool robust) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (wide_verdicts_.size() >= kMaxEntries && !wide_verdicts_.count(fingerprint)) {
-    wide_verdicts_.clear();
-  }
-  wide_verdicts_[fingerprint] = robust;
-}
-
 void VerdictCache::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   verdicts_.clear();
-  wide_verdicts_.clear();
 }
 
 size_t VerdictCache::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return verdicts_.size() + wide_verdicts_.size();
+  return verdicts_.size();
 }
 
 int64_t VerdictCache::hits() const {

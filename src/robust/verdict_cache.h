@@ -12,23 +12,22 @@
 // swept subsets hit the cache and only the masks containing the new program
 // reach the detector.
 //
-// Two key currencies share one cache:
-//
-//   * Narrow string keys — the exhaustive sweep's per-mask fingerprints
-//     (settings + method + the member (name, revision) pairs the mask
-//     selects), built by WorkloadSession::FingerprintLocked for n <= 32.
-//   * Wide 128-bit fingerprints — the core-guided search's currency for any
-//     n up to kMaxCoreSearchPrograms. A WideFingerprinter is snapshotted
-//     from the session's (name, revision) state once per search; hashing a
-//     ProgramSet is then one mix per member bit, with no string
-//     materialization on the hot path. The fingerprint depends on the
-//     member *identities* (name + revision), not their bit positions, so
-//     cached verdicts survive index shifts from unrelated removals.
+// One key type serves every caller: the 128-bit WideFingerprint. A
+// WideFingerprinter is snapshotted from the session's (name, revision)
+// state once per request; hashing a ProgramSet is then one mix per member
+// bit, with no string materialization on the hot path. The full-set check,
+// the exhaustive sweep (which lifts its uint32_t masks with
+// ProgramSet::FromMask) and the core-guided search all hash through it, so
+// they share one key space: a verdict any of them computed answers the
+// others. The fingerprint depends on the member *identities* (name +
+// revision), not their bit positions, so cached verdicts survive index
+// shifts from unrelated removals.
 //
 // Internally synchronized: the core-guided search invokes its verdict-cache
 // hooks from thread-pool workers (see SubsetSweepHooks::wide_lookup), so
-// Lookup/Store take an internal mutex. The narrow paths run under the
-// session lock as before and simply pay one uncontended lock acquisition.
+// Lookup/Store take an internal mutex. The check and the exhaustive sweep
+// run under the session lock and simply pay one uncontended lock
+// acquisition.
 
 #ifndef MVRC_ROBUST_VERDICT_CACHE_H_
 #define MVRC_ROBUST_VERDICT_CACHE_H_
@@ -82,7 +81,7 @@ inline uint64_t MixBits64(uint64_t x) {
 ///
 /// A fingerprinter is an immutable snapshot: safe to share across threads,
 /// but stale the moment any member's revision advances (callers snapshot a
-/// fresh one per search, as WorkloadSession::Subsets does).
+/// fresh one per request, as WorkloadSession::Check and Subsets do).
 class WideFingerprinter {
  public:
   /// `context` disambiguates analyses (the session passes
@@ -103,36 +102,31 @@ class WideFingerprinter {
   std::vector<uint64_t> member_hash_;
 };
 
-/// Fingerprint -> robustness verdict map with hit/miss accounting, over both
-/// key currencies. Thread-safe.
+/// Fingerprint -> robustness verdict map with hit/miss accounting.
+/// Thread-safe.
 class VerdictCache {
  public:
-  /// Entry count at which Store() discards that currency's map before
-  /// inserting. Fingerprints of dropped programs and stale revisions
-  /// accumulate over a long-lived session; a full reset at the cap bounds
-  /// memory while keeping the common (small-session) case unthrottled. The
-  /// cap applies to the narrow and wide maps independently.
+  /// Entry count at which Store() discards the map before inserting.
+  /// Fingerprints of dropped programs and stale revisions accumulate over a
+  /// long-lived session; a full reset at the cap bounds memory while keeping
+  /// the common (small-session) case unthrottled.
   static constexpr size_t kMaxEntries = size_t{1} << 21;
 
   /// The cached verdict for `fingerprint`, or nullopt on a miss.
-  std::optional<bool> Lookup(const std::string& fingerprint);
   std::optional<bool> Lookup(const WideFingerprint& fingerprint);
 
   /// Records a verdict (overwrites on a repeated fingerprint).
-  void Store(const std::string& fingerprint, bool robust);
   void Store(const WideFingerprint& fingerprint, bool robust);
 
   void Clear();
 
-  /// Total entries across both currencies.
   size_t size() const;
   int64_t hits() const;
   int64_t misses() const;
 
  private:
   mutable std::mutex mutex_;
-  std::unordered_map<std::string, bool> verdicts_;
-  std::unordered_map<WideFingerprint, bool, WideFingerprintHash> wide_verdicts_;
+  std::unordered_map<WideFingerprint, bool, WideFingerprintHash> verdicts_;
   int64_t hits_ = 0;
   int64_t misses_ = 0;
 };

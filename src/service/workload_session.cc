@@ -432,31 +432,14 @@ SummaryGraph WorkloadSession::Graph() {
   return CachedGraphLocked();
 }
 
-std::string WorkloadSession::FingerprintLocked(uint32_t mask, Method method) const {
-  // The settings prefix (granularity, FK usage, isolation) keeps
-  // fingerprints collision-free across isolation levels — two sessions
-  // analyzing the same programs under different policies never share a key
-  // even if their caches were merged.
-  std::string fingerprint = settings_.ToString();
-  fingerprint.push_back('|');
-  fingerprint += std::to_string(static_cast<int>(method));
-  fingerprint.push_back('|');
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (i < 32 && ((mask >> i) & 1) == 0) continue;
-    fingerprint += entries_[i].program.name();
-    fingerprint.push_back('#');
-    fingerprint += std::to_string(entries_[i].revision);
-    fingerprint.push_back(';');
-  }
-  return fingerprint;
-}
-
 WideFingerprinter WorkloadSession::WideFingerprinterLocked(Method method) const {
-  // Same ingredients as FingerprintLocked — settings, method, per-member
-  // (name, revision) — in the hashed wide currency: one snapshot per search,
-  // a few ns per subset after that. Identical (name, revision) states yield
-  // identical fingerprints across searches, so verdicts persist in the cache
-  // across mutations that leave members' incident cells unchanged.
+  // The settings (granularity, FK usage, isolation), the method and each
+  // member's (name, revision): one snapshot per request, a few ns per subset
+  // after that. The settings string keeps sessions under different
+  // isolation levels apart even if their caches were merged. Identical
+  // (name, revision) states yield identical fingerprints across requests,
+  // so verdicts persist in the cache across mutations that leave members'
+  // incident cells unchanged.
   std::vector<std::pair<std::string, int64_t>> members;
   members.reserve(entries_.size());
   for (const Entry& entry : entries_) {
@@ -493,13 +476,10 @@ CheckResult WorkloadSession::Check(Method method) {
   result.num_edges = graph.num_edges();
   result.num_counterflow_edges = graph.num_counterflow_edges();
 
-  // The full set is the all-ones mask; sessions beyond 32 programs fall
-  // outside the mask encoding, so FingerprintLocked includes every entry
-  // unconditionally past bit 31 (see the i < 32 guard) and the fingerprint
-  // stays exact.
-  const uint32_t full_mask =
-      entries_.size() >= 32 ? ~uint32_t{0} : (uint32_t{1} << entries_.size()) - 1;
-  const std::string fingerprint = FingerprintLocked(full_mask, method);
+  // The full set under the same fingerprint the subset analyses use, so a
+  // checked full set answers their first candidate and vice versa.
+  const ProgramSet full = ProgramSet::Full(static_cast<int>(entries_.size()));
+  const WideFingerprint fingerprint = WideFingerprinterLocked(method).Of(full);
   std::optional<bool> cached = verdict_cache_.Lookup(fingerprint);
   if (cached.has_value()) {
     result.robust = *cached;
@@ -514,7 +494,7 @@ CheckResult WorkloadSession::Check(Method method) {
   }
 
   ++stats_.detector_runs;
-  CycleTestOutcome outcome = RunCycleTest(graph, method, settings_.policy());
+  CycleTestOutcome outcome = RunCycleTest(CachedDetectorLocked(), full, method);
   result.robust = outcome.robust;
   result.witness = std::move(outcome.witness);
   verdict_cache_.Store(fingerprint, result.robust);
@@ -539,50 +519,50 @@ Result<SubsetReport> WorkloadSession::Subsets(Method method, std::vector<std::st
     for (const Entry& entry : entries_) names->push_back(entry.program.name());
   }
 
-  SubsetSweepHooks hooks;
-  hooks.lookup = [this, method](uint32_t mask) {
-    return verdict_cache_.Lookup(FingerprintLocked(mask, method));
-  };
-  hooks.store = [this, method](uint32_t mask, bool robust) {
-    ++stats_.detector_runs;
-    verdict_cache_.Store(FingerprintLocked(mask, method), robust);
-  };
-  // Regime routing, both against the memoized MaskedDetector so repeated
-  // subset requests (and re-checks after mutations, where the verdict cache
-  // answers the untouched masks) skip both graph copies and the detector
-  // precomputation: exhaustive-range sessions take the sweep (bit-identical
-  // oracle) with the narrow string-keyed hooks above; larger ones take the
-  // core-guided search with wide 128-bit fingerprints, which cover every
-  // program count the search accepts. The wide callbacks run on pool
-  // workers, so they touch only the internally synchronized VerdictCache —
-  // never stats_ — and the search's own counters are merged afterwards
-  // under the session lock. Sessions beyond both regimes get the
-  // program-count error without building anything.
+  // Both regimes run against the memoized MaskedDetector, so repeated subset
+  // requests (and re-checks after mutations, where the verdict cache
+  // answers the untouched subsets) skip both graph copies and the detector
+  // precomputation. Both key their verdicts through one fingerprinter
+  // snapshot, in the key space Check uses: exhaustive-range sessions take
+  // the sweep (bit-identical oracle), whose uint32_t-mask hooks run on this
+  // thread and lift each mask to a ProgramSet; larger ones take the
+  // core-guided search, whose wide hooks run on pool workers and so touch
+  // only the internally synchronized VerdictCache — never stats_ — with the
+  // search's own counters merged afterwards under the session lock.
+  // Sessions beyond both regimes get the program-count error without
+  // building anything.
   const int n = static_cast<int>(entries_.size());
   Result<SubsetReport> report = [&]() -> Result<SubsetReport> {
+    if (!CoreSearchProgramCountOk(n)) {
+      return Result<SubsetReport>::Error(
+          "subset analysis supports at most " + std::to_string(kMaxCoreSearchPrograms) +
+          " programs (got " + std::to_string(n) + "): the exhaustive sweep covers 1.." +
+          std::to_string(kMaxSubsetPrograms) + ", the core-guided search up to " +
+          std::to_string(kMaxCoreSearchPrograms));
+    }
+    const WideFingerprinter fingerprinter = WideFingerprinterLocked(method);
+    SubsetSweepHooks hooks;
     if (SubsetProgramCountOk(n)) {
+      hooks.lookup = [this, n, &fingerprinter](uint32_t mask) {
+        return verdict_cache_.Lookup(fingerprinter.Of(ProgramSet::FromMask(mask, n)));
+      };
+      hooks.store = [this, n, &fingerprinter](uint32_t mask, bool robust) {
+        ++stats_.detector_runs;
+        verdict_cache_.Store(fingerprinter.Of(ProgramSet::FromMask(mask, n)), robust);
+      };
       return AnalyzeSubsetsOnDetector(CachedDetectorLocked(), method, pool_, &hooks);
     }
-    if (CoreSearchProgramCountOk(n)) {
-      const WideFingerprinter fingerprinter = WideFingerprinterLocked(method);
-      SubsetSweepHooks wide_hooks;
-      wide_hooks.wide_lookup = [this, &fingerprinter](const ProgramSet& subset) {
-        return verdict_cache_.Lookup(fingerprinter.Of(subset));
-      };
-      wide_hooks.wide_store = [this, &fingerprinter](const ProgramSet& subset, bool robust) {
-        verdict_cache_.Store(fingerprinter.Of(subset), robust);
-      };
-      CoreSearchStats search_stats;
-      Result<SubsetReport> wide_report = AnalyzeSubsetsCoreGuided(
-          CachedDetectorLocked(), method, pool_, &wide_hooks, &search_stats);
-      stats_.detector_runs += search_stats.detector_queries;
-      return wide_report;
-    }
-    return Result<SubsetReport>::Error(
-        "subset analysis supports at most " + std::to_string(kMaxCoreSearchPrograms) +
-        " programs (got " + std::to_string(n) + "): the exhaustive sweep covers 1.." +
-        std::to_string(kMaxSubsetPrograms) + ", the core-guided search up to " +
-        std::to_string(kMaxCoreSearchPrograms));
+    hooks.wide_lookup = [this, &fingerprinter](const ProgramSet& subset) {
+      return verdict_cache_.Lookup(fingerprinter.Of(subset));
+    };
+    hooks.wide_store = [this, &fingerprinter](const ProgramSet& subset, bool robust) {
+      verdict_cache_.Store(fingerprinter.Of(subset), robust);
+    };
+    CoreSearchStats search_stats;
+    Result<SubsetReport> wide_report = AnalyzeSubsetsCoreGuided(
+        CachedDetectorLocked(), method, pool_, &hooks, &search_stats);
+    stats_.detector_runs += search_stats.detector_queries;
+    return wide_report;
   }();
   if (report.ok()) ++stats_.subset_sweeps;
   SyncCacheStatsLocked();

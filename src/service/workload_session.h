@@ -15,15 +15,17 @@
 // bit-identical to a from-scratch BuildSummaryGraph over the same programs
 // (asserted by tests/service_test.cc after every mutation).
 //
-// Robustness verdicts — of the full set and of every subset the sweep
-// evaluates — are memoized in a VerdictCache keyed by a program-set
-// fingerprint: the analysis settings (granularity, FK usage, isolation
-// level) and method plus each member's (name, revision).
+// Robustness verdicts — of the full set and of every subset either subset
+// regime evaluates — are memoized in one VerdictCache under one key type:
+// a 128-bit WideFingerprint of the analysis settings (granularity, FK
+// usage, isolation level), the method, and each member's (name, revision).
 // A revision only advances when a mutation actually changed one of the
 // program's incident cells (ReplaceProgram with equivalent edges keeps the
 // revision), so cached verdicts survive every mutation that provably cannot
-// change them and incremental re-checks skip straight to the masks touching
-// the changed program.
+// change them and incremental re-checks skip straight to the subsets
+// touching the changed program. Every verdict comes from one memoized
+// MaskedDetector over the materialized graph: Check queries it with the
+// full set, and the subset analyses that follow reuse it.
 //
 // Thread safety: public methods lock an internal mutex, so a session may be
 // shared across server threads. The optional ThreadPool (borrowed, not
@@ -188,8 +190,11 @@ class WorkloadSession {
   /// to BuildSummaryGraph(UnfoldAtMost2(Programs()), settings()).
   SummaryGraph Graph();
 
-  /// Full-set robustness under the session settings, served from the verdict
-  /// cache when the fingerprint is known.
+  /// Full-set robustness under the session settings: the full-set query of
+  /// the session's memoized MaskedDetector (built here if no earlier request
+  /// built it, and reused by the Subsets call that typically follows),
+  /// served from the verdict cache when the full set's fingerprint is known
+  /// — whether an earlier Check or a subset analysis stored it.
   CheckResult Check(Method method = Method::kTypeII);
 
   /// Subset analysis over the current programs, in the regime the program
@@ -198,15 +203,13 @@ class WorkloadSession {
   /// the core-guided search (robust/core_search.h) through
   /// kMaxCoreSearchPrograms — same maximal sets, lattice representation
   /// (SubsetReport::cores / maximal_sets) — and an error above that. Both
-  /// regimes are memoized per subset through the verdict cache: the
-  /// exhaustive sweep under narrow string keys, the core-guided search
-  /// under wide 128-bit fingerprints (WideFingerprinter) covering every
-  /// program count it accepts, so subsets whose member fingerprints are
-  /// cached skip the detector in either regime. When `names` is non-null it
-  /// receives the member
-  /// program names in mask-bit order, snapshotted atomically with the
-  /// analysis — a caller reading names separately could race a concurrent
-  /// mutation and mislabel masks.
+  /// regimes run on the detector Check uses and memoize every subset verdict
+  /// in the verdict cache under the same wide fingerprints as Check, so a
+  /// subset whose members' fingerprints are cached — the full set after a
+  /// Check included — skips the detector in either regime. When `names` is
+  /// non-null it receives the member program names in mask-bit order,
+  /// snapshotted atomically with the analysis — a caller reading names
+  /// separately could race a concurrent mutation and mislabel masks.
   Result<SubsetReport> Subsets(Method method = Method::kTypeII,
                                std::vector<std::string>* names = nullptr);
 
@@ -264,10 +267,8 @@ class WorkloadSession {
   // Drops the memoized graph and the detector borrowing it; every mutation
   // that touches cells must call this.
   void InvalidateGraphLocked();
-  std::string FingerprintLocked(uint32_t mask, Method method) const;
-  // Snapshot fingerprinter over the current (name, revision) state — the
-  // wide-currency counterpart of FingerprintLocked, feeding the core-guided
-  // search's verdict-cache hooks at any accepted program count.
+  // Snapshot fingerprinter over the current (name, revision) state: the one
+  // verdict-cache key of Check and of both subset regimes' hooks.
   WideFingerprinter WideFingerprinterLocked(Method method) const;
   std::vector<std::pair<int, int>> LtpRangesLocked() const;
   void SyncCacheStatsLocked();
@@ -288,8 +289,9 @@ class WorkloadSession {
   std::vector<std::vector<Cell>> cells_;
   std::optional<SummaryGraph> graph_;  // memoized materialization
   // Memoized mask-native detector over *graph_ (borrows it; reset together).
-  // Subset re-checks after a mutation reuse its precomputed bitsets and only
-  // pay detector time for masks the verdict cache cannot answer.
+  // Check and Subsets share it; re-checks after a mutation reuse its
+  // precomputed bitsets and only pay detector time for subsets the verdict
+  // cache cannot answer.
   std::optional<MaskedDetector> detector_;
   VerdictCache verdict_cache_;
   SessionStats stats_;

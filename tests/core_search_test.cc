@@ -33,6 +33,7 @@
 #include "util/thread_pool.h"
 #include "workloads/auction.h"
 #include "workloads/smallbank.h"
+#include "support/random_workload.h"
 
 namespace mvrc {
 namespace {
@@ -276,110 +277,10 @@ void ExpectCoreGuidedMatchesExhaustive(const std::vector<Btp>& programs,
   EXPECT_EQ(parallel.value().num_threads, 4) << context;
 }
 
-// The randomized generator of tests/masked_detector_test.cc, with a
-// configurable program count so the wide regime can be exercised too.
-class RandomWorkloadGen {
- public:
-  explicit RandomWorkloadGen(uint64_t seed) : rng_(seed) {}
-
-  std::vector<Btp> Generate(Schema& schema, int num_programs = 0) {
-    const int num_relations = Pick(2, 3);
-    for (int r = 0; r < num_relations; ++r) {
-      std::vector<std::string> attrs;
-      const int num_attrs = Pick(2, 4);
-      for (int a = 0; a < num_attrs; ++a) {
-        attrs.push_back("a" + std::to_string(r) + std::to_string(a));
-      }
-      schema.AddRelation("R" + std::to_string(r), attrs, {attrs[0]});
-    }
-    for (int r = 1; r < num_relations; ++r) {
-      if (Chance(0.5)) schema.AddForeignKey("f" + std::to_string(r), r, {}, 0);
-    }
-    std::vector<Btp> programs;
-    if (num_programs == 0) num_programs = Pick(4, 5);
-    for (int p = 0; p < num_programs; ++p) programs.push_back(GenerateProgram(schema, p));
-    return programs;
-  }
-
- private:
-  int Pick(int lo, int hi) { return lo + static_cast<int>(rng_() % (hi - lo + 1)); }
-  bool Chance(double p) { return (rng_() % 1000) < p * 1000; }
-
-  AttrSet RandomSubset(const Schema& schema, RelationId rel, bool non_empty) {
-    AttrSet set;
-    const int n = schema.relation(rel).num_attrs();
-    for (int a = 0; a < n; ++a) {
-      if (Chance(0.45)) set.Insert(a);
-    }
-    if (non_empty && set.empty()) set.Insert(static_cast<AttrId>(rng_() % n));
-    return set;
-  }
-
-  Statement RandomStatement(const Schema& schema, const std::string& label) {
-    RelationId rel = static_cast<RelationId>(rng_() % schema.num_relations());
-    switch (rng_() % 7) {
-      case 0:
-        return Statement::Insert(label, schema, rel);
-      case 1:
-        return Statement::KeySelect(label, schema, rel, RandomSubset(schema, rel, false));
-      case 2:
-        return Statement::PredSelect(label, schema, rel, RandomSubset(schema, rel, false),
-                                     RandomSubset(schema, rel, false));
-      case 3:
-        return Statement::KeyUpdate(label, schema, rel, RandomSubset(schema, rel, false),
-                                    RandomSubset(schema, rel, true));
-      case 4:
-        return Statement::PredUpdate(label, schema, rel, RandomSubset(schema, rel, false),
-                                     RandomSubset(schema, rel, false),
-                                     RandomSubset(schema, rel, true));
-      case 5:
-        return Statement::KeyDelete(label, schema, rel);
-      default:
-        return Statement::PredDelete(label, schema, rel, RandomSubset(schema, rel, false));
-    }
-  }
-
-  Btp GenerateProgram(const Schema& schema, int index) {
-    Btp program("P" + std::to_string(index));
-    const int num_statements = Pick(2, 4);
-    std::vector<StmtId> ids;
-    for (int q = 0; q < num_statements; ++q) {
-      ids.push_back(program.AddStatement(RandomStatement(schema, "q" + std::to_string(q + 1))));
-    }
-    std::vector<Btp::NodeId> nodes;
-    for (StmtId id : ids) nodes.push_back(program.Stmt(id));
-    if (num_statements >= 2 && Chance(0.5)) {
-      const int from = Pick(0, num_statements - 2);
-      const int to = Pick(from + 1, num_statements - 1);
-      std::vector<Btp::NodeId> inner(nodes.begin() + from, nodes.begin() + to + 1);
-      Btp::NodeId wrapped;
-      switch (rng_() % 3) {
-        case 0:
-          wrapped = program.Loop(program.Seq(inner));
-          break;
-        case 1:
-          wrapped = program.Optional(program.Seq(inner));
-          break;
-        default:
-          wrapped = program.Choice(program.Seq(inner), program.Stmt(ids[from]));
-          break;
-      }
-      std::vector<Btp::NodeId> rebuilt(nodes.begin(), nodes.begin() + from);
-      rebuilt.push_back(wrapped);
-      rebuilt.insert(rebuilt.end(), nodes.begin() + to + 1, nodes.end());
-      nodes = std::move(rebuilt);
-    }
-    program.Finish(program.Seq(nodes));
-    return program;
-  }
-
-  std::mt19937_64 rng_;
-};
-
 class CoreSearchRandomTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CoreSearchRandomTest, MatchesExhaustiveSweepUnderBothPolicies) {
-  RandomWorkloadGen gen(GetParam() * 6271 + 17);
+  test_support::RandomWorkloadGen gen(GetParam() * 6271 + 17);
   Schema schema;
   std::vector<Btp> programs = gen.Generate(schema);
   for (IsolationLevel isolation : {IsolationLevel::kMvrc, IsolationLevel::kRc}) {
@@ -535,7 +436,7 @@ TEST(CoreSearchWideTest, AuctionN12LatticeIsDetectorConsistent) {
 TEST(CoreSearchWideTest, RandomWideWorkloadsAreDetectorConsistent) {
   // Random 22-program workloads under both policies: structure-free cores.
   for (int seed : {1, 2}) {
-    RandomWorkloadGen gen(seed * 9173 + 5);
+    test_support::RandomWorkloadGen gen(seed * 9173 + 5);
     Schema schema;
     std::vector<Btp> programs = gen.Generate(schema, 22);
     for (IsolationLevel isolation : {IsolationLevel::kMvrc, IsolationLevel::kRc}) {
@@ -562,7 +463,7 @@ TEST(CoreSearchWideTest, RandomWideWorkloadsAreDetectorConsistent) {
 class CoreSearchParallelDifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CoreSearchParallelDifferentialTest, WideParallelLatticeIsBitIdenticalToSerial) {
-  RandomWorkloadGen gen(GetParam() * 7817 + 41);
+  test_support::RandomWorkloadGen gen(GetParam() * 7817 + 41);
   Schema schema;
   std::vector<Btp> programs = gen.Generate(schema, 24);
   for (IsolationLevel isolation : {IsolationLevel::kMvrc, IsolationLevel::kRc}) {

@@ -5,6 +5,7 @@
 #include "summary/build_summary.h"
 #include "workloads/auction.h"
 #include "workloads/smallbank.h"
+#include "support/cycle_oracle.h"
 
 namespace mvrc {
 namespace {
@@ -34,7 +35,7 @@ TEST_F(HandGraphTest, NoEdgesIsRobustUnderBothMethods) {
   SummaryGraph graph({OneStmtLtp(schema_, rel_, "A", false)});
   EXPECT_TRUE(IsRobust(graph, Method::kTypeI));
   EXPECT_TRUE(IsRobust(graph, Method::kTypeII));
-  EXPECT_TRUE(IsRobust(graph, Method::kTypeIINaive));
+  EXPECT_FALSE(oracle::FindTypeIICycleNaive(graph).has_value());
 }
 
 TEST_F(HandGraphTest, PureNonCounterflowCycleIsRobust) {
@@ -58,7 +59,7 @@ TEST_F(HandGraphTest, CounterflowOnCycleBreaksTypeIButNotAlwaysTypeII) {
   graph.AddEdge({1, 0, false, 0, 0});  // B.w -> A.r non-counterflow (wr)
   EXPECT_FALSE(IsRobust(graph, Method::kTypeI));
   EXPECT_TRUE(IsRobust(graph, Method::kTypeII));
-  EXPECT_TRUE(IsRobust(graph, Method::kTypeIINaive));
+  EXPECT_FALSE(oracle::FindTypeIICycleNaive(graph).has_value());
 }
 
 TEST_F(HandGraphTest, AdjacentCounterflowPairIsTypeII) {
@@ -72,9 +73,9 @@ TEST_F(HandGraphTest, AdjacentCounterflowPairIsTypeII) {
   graph.AddEdge({2, 0, false, 0, 0});
   EXPECT_FALSE(IsRobust(graph, Method::kTypeI));
   EXPECT_FALSE(IsRobust(graph, Method::kTypeII));
-  EXPECT_FALSE(IsRobust(graph, Method::kTypeIINaive));
+  EXPECT_TRUE(oracle::FindTypeIICycleNaive(graph).has_value());
 
-  std::optional<TypeIIWitness> witness = FindTypeIICycle(graph);
+  std::optional<TypeIIWitness> witness = oracle::FindTypeIICycle(graph);
   ASSERT_TRUE(witness.has_value());
   EXPECT_TRUE(witness->e3.counterflow);
   EXPECT_TRUE(witness->e4.counterflow);
@@ -143,7 +144,7 @@ TEST_F(HandGraphTest, TypeIWitnessHasReturnPath) {
       {OneStmtLtp(schema_, rel_, "A", false), OneStmtLtp(schema_, rel_, "B", true)});
   graph.AddEdge({0, 0, true, 0, 1});
   graph.AddEdge({1, 0, false, 0, 0});
-  std::optional<TypeIWitness> witness = FindTypeICycle(graph);
+  std::optional<TypeIWitness> witness = oracle::FindTypeICycle(graph);
   ASSERT_TRUE(witness.has_value());
   EXPECT_TRUE(witness->edge.counterflow);
   ASSERT_GE(witness->return_path.size(), 2u);
@@ -168,8 +169,8 @@ TEST(DetectorWorkloadTest, NaiveAndOptimizedAgreeOnWorkloads) {
          {AnalysisSettings::TupleDep(), AnalysisSettings::AttrDep(),
           AnalysisSettings::TupleDepFk(), AnalysisSettings::AttrDepFk()}) {
       SummaryGraph graph = BuildSummaryGraph(workload.programs, settings);
-      EXPECT_EQ(FindTypeIICycle(graph).has_value(),
-                FindTypeIICycleNaive(graph).has_value())
+      EXPECT_EQ(oracle::FindTypeIICycle(graph).has_value(),
+                oracle::FindTypeIICycleNaive(graph).has_value())
           << workload.name << " under " << settings.name();
     }
   }

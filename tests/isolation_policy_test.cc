@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +22,8 @@
 #include "summary/isolation_policy.h"
 #include "workloads/policy_demo.h"
 #include "workloads/smallbank.h"
+#include "support/cycle_oracle.h"
+#include "support/random_workload.h"
 
 namespace mvrc {
 namespace {
@@ -165,9 +166,9 @@ TEST(IsolationPolicyTest, IsolationDemoSeparatesPolicies) {
     // The witness under MVRC uses the read-like-source escape: the closing
     // edge re-enters Monitor at the same occurrence as the split read.
     SummaryGraph graph = BuildSummaryGraph(UnfoldAtMost2(demo.programs), base);
-    std::optional<TypeIIWitness> mvrc_witness = FindTypeIICycle(graph, Mvrc());
+    std::optional<TypeIIWitness> mvrc_witness = oracle::FindTypeIICycle(graph, Mvrc());
     ASSERT_TRUE(mvrc_witness.has_value());
-    EXPECT_FALSE(FindRcSplitCycle(graph, Rc()).has_value());
+    EXPECT_FALSE(oracle::FindRcSplitCycle(graph, Rc()).has_value());
     CycleTestOutcome rc_outcome = RunCycleTest(graph, Method::kTypeII, Rc());
     EXPECT_TRUE(rc_outcome.robust);
     EXPECT_TRUE(rc_outcome.witness.empty());
@@ -196,7 +197,7 @@ TEST(IsolationPolicyTest, LostUpdateIsNonRobustUnderRcWithCoherentWitness) {
     EXPECT_FALSE(IsRobustUnder({rtw, writer}, rc, Method::kTypeII));
 
     SummaryGraph graph = BuildSummaryGraph(UnfoldAtMost2({rtw, writer}), rc);
-    std::optional<RcSplitWitness> witness = FindRcSplitCycle(graph, Rc());
+    std::optional<RcSplitWitness> witness = oracle::FindRcSplitCycle(graph, Rc());
     ASSERT_TRUE(witness.has_value());
     // Both edges meet at the split program; the split read strictly
     // precedes the closing dependency's target.
@@ -214,105 +215,6 @@ TEST(IsolationPolicyTest, LostUpdateIsNonRobustUnderRcWithCoherentWitness) {
 }
 
 // --- Randomized monotonicity + masked-detector parity under RC. -----------
-
-// Mirrors the generator idiom of tests/masked_detector_test.cc.
-class RandomWorkloadGen {
- public:
-  explicit RandomWorkloadGen(uint64_t seed) : rng_(seed) {}
-
-  std::vector<Btp> Generate(Schema& schema) {
-    const int num_relations = Pick(2, 3);
-    for (int r = 0; r < num_relations; ++r) {
-      std::vector<std::string> attrs;
-      const int num_attrs = Pick(2, 4);
-      for (int a = 0; a < num_attrs; ++a) {
-        attrs.push_back("a" + std::to_string(r) + std::to_string(a));
-      }
-      schema.AddRelation("R" + std::to_string(r), attrs, {attrs[0]});
-    }
-    for (int r = 1; r < num_relations; ++r) {
-      if (Chance(0.5)) schema.AddForeignKey("f" + std::to_string(r), r, {}, 0);
-    }
-    std::vector<Btp> programs;
-    const int num_programs = Pick(4, 5);
-    for (int p = 0; p < num_programs; ++p) programs.push_back(GenerateProgram(schema, p));
-    return programs;
-  }
-
- private:
-  int Pick(int lo, int hi) { return lo + static_cast<int>(rng_() % (hi - lo + 1)); }
-  bool Chance(double p) { return (rng_() % 1000) < p * 1000; }
-
-  AttrSet RandomSubset(const Schema& schema, RelationId rel, bool non_empty) {
-    AttrSet set;
-    const int n = schema.relation(rel).num_attrs();
-    for (int a = 0; a < n; ++a) {
-      if (Chance(0.45)) set.Insert(a);
-    }
-    if (non_empty && set.empty()) set.Insert(static_cast<AttrId>(rng_() % n));
-    return set;
-  }
-
-  Statement RandomStatement(const Schema& schema, const std::string& label) {
-    RelationId rel = static_cast<RelationId>(rng_() % schema.num_relations());
-    switch (rng_() % 7) {
-      case 0:
-        return Statement::Insert(label, schema, rel);
-      case 1:
-        return Statement::KeySelect(label, schema, rel, RandomSubset(schema, rel, false));
-      case 2:
-        return Statement::PredSelect(label, schema, rel, RandomSubset(schema, rel, false),
-                                     RandomSubset(schema, rel, false));
-      case 3:
-        return Statement::KeyUpdate(label, schema, rel, RandomSubset(schema, rel, false),
-                                    RandomSubset(schema, rel, true));
-      case 4:
-        return Statement::PredUpdate(label, schema, rel, RandomSubset(schema, rel, false),
-                                     RandomSubset(schema, rel, false),
-                                     RandomSubset(schema, rel, true));
-      case 5:
-        return Statement::KeyDelete(label, schema, rel);
-      default:
-        return Statement::PredDelete(label, schema, rel, RandomSubset(schema, rel, false));
-    }
-  }
-
-  Btp GenerateProgram(const Schema& schema, int index) {
-    Btp program("P" + std::to_string(index));
-    const int num_statements = Pick(2, 4);
-    std::vector<StmtId> ids;
-    for (int q = 0; q < num_statements; ++q) {
-      ids.push_back(program.AddStatement(RandomStatement(schema, "q" + std::to_string(q + 1))));
-    }
-    std::vector<Btp::NodeId> nodes;
-    for (StmtId id : ids) nodes.push_back(program.Stmt(id));
-    if (num_statements >= 2 && Chance(0.5)) {
-      const int from = Pick(0, num_statements - 2);
-      const int to = Pick(from + 1, num_statements - 1);
-      std::vector<Btp::NodeId> inner(nodes.begin() + from, nodes.begin() + to + 1);
-      Btp::NodeId wrapped;
-      switch (rng_() % 3) {
-        case 0:
-          wrapped = program.Loop(program.Seq(inner));
-          break;
-        case 1:
-          wrapped = program.Optional(program.Seq(inner));
-          break;
-        default:
-          wrapped = program.Choice(program.Seq(inner), program.Stmt(ids[from]));
-          break;
-      }
-      std::vector<Btp::NodeId> rebuilt(nodes.begin(), nodes.begin() + from);
-      rebuilt.push_back(wrapped);
-      rebuilt.insert(rebuilt.end(), nodes.begin() + to + 1, nodes.end());
-      nodes = std::move(rebuilt);
-    }
-    program.Finish(program.Seq(nodes));
-    return program;
-  }
-
-  std::mt19937_64 rng_;
-};
 
 struct GraphUnderTest {
   SummaryGraph graph;
@@ -344,11 +246,11 @@ std::vector<bool> KeepFor(uint32_t mask, const GraphUnderTest& t) {
 class IsolationPolicyRandomTest : public ::testing::TestWithParam<int> {};
 
 // For every mask of every seeded workload: (1) the RC masked detector
-// agrees with graph-level FindRcSplitCycle on the induced subgraph
+// agrees with the oracle's graph-copy FindRcSplitCycle on the induced subgraph
 // (verdict AND witness), (2) interned build == legacy build under RC,
 // (3) MVRC-robust implies RC-robust.
 TEST_P(IsolationPolicyRandomTest, RcMaskedParityAndMonotonicity) {
-  RandomWorkloadGen gen(GetParam() * 40933 + 5);
+  test_support::RandomWorkloadGen gen(GetParam() * 40933 + 5);
   Schema schema;
   std::vector<Btp> programs = gen.Generate(schema);
   for (const AnalysisSettings& base :
@@ -374,15 +276,15 @@ TEST_P(IsolationPolicyRandomTest, RcMaskedParityAndMonotonicity) {
     const uint32_t full = (uint32_t{1} << programs.size()) - 1;
     for (uint32_t mask = 1; mask <= full; ++mask) {
       SummaryGraph induced = t.graph.InducedSubgraph(KeepFor(mask, t));
-      std::optional<RcSplitWitness> oracle = FindRcSplitCycle(induced, Rc());
+      std::optional<RcSplitWitness> expected = oracle::FindRcSplitCycle(induced, Rc());
       std::optional<RcSplitWitness> masked = rc_detector.FindRcSplitCycle(mask, rc_scratch);
-      ASSERT_EQ(masked.has_value(), oracle.has_value()) << context << " mask=" << mask;
-      EXPECT_EQ(rc_detector.HasRcSplitCycle(mask, rc_scratch), oracle.has_value())
+      ASSERT_EQ(masked.has_value(), expected.has_value()) << context << " mask=" << mask;
+      EXPECT_EQ(rc_detector.HasRcSplitCycle(mask, rc_scratch), expected.has_value())
           << context << " mask=" << mask;
       const bool rc_robust = rc_detector.IsRobust(mask, Method::kTypeII, rc_scratch);
-      EXPECT_EQ(rc_robust, !oracle.has_value()) << context << " mask=" << mask;
-      if (oracle.has_value()) {
-        EXPECT_EQ(masked->Describe(t.graph), oracle->Describe(induced))
+      EXPECT_EQ(rc_robust, !expected.has_value()) << context << " mask=" << mask;
+      if (expected.has_value()) {
+        EXPECT_EQ(masked->Describe(t.graph), expected->Describe(induced))
             << context << " mask=" << mask;
       }
       if (mvrc_detector.IsRobust(mask, Method::kTypeII, mvrc_scratch)) {

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,6 +24,8 @@
 #include "workloads/auction.h"
 #include "workloads/smallbank.h"
 #include "workloads/tpcc.h"
+#include "support/cycle_oracle.h"
+#include "support/random_workload.h"
 
 namespace mvrc {
 namespace {
@@ -62,7 +63,7 @@ void ExpectMaskAgrees(const GraphUnderTest& t, const MaskedDetector& detector,
                       DetectorScratch& scratch, uint32_t mask, const std::string& context) {
   SummaryGraph oracle_graph = t.graph.InducedSubgraph(KeepFor(mask, t));
 
-  std::optional<TypeIWitness> oracle1 = FindTypeICycle(oracle_graph);
+  std::optional<TypeIWitness> oracle1 = oracle::FindTypeICycle(oracle_graph);
   std::optional<TypeIWitness> masked1 = detector.FindTypeICycle(mask, scratch);
   ASSERT_EQ(masked1.has_value(), oracle1.has_value()) << context << " mask=" << mask;
   EXPECT_EQ(detector.HasTypeICycle(mask, scratch), oracle1.has_value())
@@ -74,15 +75,14 @@ void ExpectMaskAgrees(const GraphUnderTest& t, const MaskedDetector& detector,
         << context << " mask=" << mask;
   }
 
-  std::optional<TypeIIWitness> oracle2 = FindTypeIICycle(oracle_graph);
+  std::optional<TypeIIWitness> oracle2 = oracle::FindTypeIICycle(oracle_graph);
   std::optional<TypeIIWitness> masked2 = detector.FindTypeIICycle(mask, scratch);
   ASSERT_EQ(masked2.has_value(), oracle2.has_value()) << context << " mask=" << mask;
   EXPECT_EQ(detector.HasTypeIICycle(mask, scratch), oracle2.has_value())
       << context << " mask=" << mask;
   EXPECT_EQ(detector.IsRobust(mask, Method::kTypeII, scratch), !oracle2.has_value())
       << context << " mask=" << mask;
-  EXPECT_EQ(detector.IsRobust(mask, Method::kTypeIINaive, scratch),
-            !FindTypeIICycleNaive(oracle_graph).has_value())
+  EXPECT_EQ(oracle::FindTypeIICycleNaive(oracle_graph).has_value(), oracle2.has_value())
       << context << " mask=" << mask;
   if (oracle2.has_value()) {
     EXPECT_EQ(masked2->Describe(t.graph), oracle2->Describe(oracle_graph))
@@ -104,114 +104,14 @@ void ExpectAllMasksAgree(const std::vector<Btp>& programs, const AnalysisSetting
   }
 }
 
-// --- Randomized workloads. Mirrors the generator idiom of
-// tests/random_property_test.cc, but tuned for subset analysis: 4-5
-// programs (15-31 masks each) over 2-3 relations, with loops/branches so
-// several programs unfold to more than one LTP and mask bits map to LTP
-// *ranges*, not single nodes.
-
-class RandomWorkloadGen {
- public:
-  explicit RandomWorkloadGen(uint64_t seed) : rng_(seed) {}
-
-  std::vector<Btp> Generate(Schema& schema) {
-    const int num_relations = Pick(2, 3);
-    for (int r = 0; r < num_relations; ++r) {
-      std::vector<std::string> attrs;
-      const int num_attrs = Pick(2, 4);
-      for (int a = 0; a < num_attrs; ++a) {
-        attrs.push_back("a" + std::to_string(r) + std::to_string(a));
-      }
-      schema.AddRelation("R" + std::to_string(r), attrs, {attrs[0]});
-    }
-    for (int r = 1; r < num_relations; ++r) {
-      if (Chance(0.5)) schema.AddForeignKey("f" + std::to_string(r), r, {}, 0);
-    }
-    std::vector<Btp> programs;
-    const int num_programs = Pick(4, 5);
-    for (int p = 0; p < num_programs; ++p) programs.push_back(GenerateProgram(schema, p));
-    return programs;
-  }
-
- private:
-  int Pick(int lo, int hi) { return lo + static_cast<int>(rng_() % (hi - lo + 1)); }
-  bool Chance(double p) { return (rng_() % 1000) < p * 1000; }
-
-  AttrSet RandomSubset(const Schema& schema, RelationId rel, bool non_empty) {
-    AttrSet set;
-    const int n = schema.relation(rel).num_attrs();
-    for (int a = 0; a < n; ++a) {
-      if (Chance(0.45)) set.Insert(a);
-    }
-    if (non_empty && set.empty()) set.Insert(static_cast<AttrId>(rng_() % n));
-    return set;
-  }
-
-  Statement RandomStatement(const Schema& schema, const std::string& label) {
-    RelationId rel = static_cast<RelationId>(rng_() % schema.num_relations());
-    switch (rng_() % 7) {
-      case 0:
-        return Statement::Insert(label, schema, rel);
-      case 1:
-        return Statement::KeySelect(label, schema, rel, RandomSubset(schema, rel, false));
-      case 2:
-        return Statement::PredSelect(label, schema, rel, RandomSubset(schema, rel, false),
-                                     RandomSubset(schema, rel, false));
-      case 3:
-        return Statement::KeyUpdate(label, schema, rel, RandomSubset(schema, rel, false),
-                                    RandomSubset(schema, rel, true));
-      case 4:
-        return Statement::PredUpdate(label, schema, rel, RandomSubset(schema, rel, false),
-                                     RandomSubset(schema, rel, false),
-                                     RandomSubset(schema, rel, true));
-      case 5:
-        return Statement::KeyDelete(label, schema, rel);
-      default:
-        return Statement::PredDelete(label, schema, rel, RandomSubset(schema, rel, false));
-    }
-  }
-
-  Btp GenerateProgram(const Schema& schema, int index) {
-    Btp program("P" + std::to_string(index));
-    const int num_statements = Pick(2, 4);
-    std::vector<StmtId> ids;
-    for (int q = 0; q < num_statements; ++q) {
-      ids.push_back(program.AddStatement(RandomStatement(schema, "q" + std::to_string(q + 1))));
-    }
-    std::vector<Btp::NodeId> nodes;
-    for (StmtId id : ids) nodes.push_back(program.Stmt(id));
-    if (num_statements >= 2 && Chance(0.5)) {
-      const int from = Pick(0, num_statements - 2);
-      const int to = Pick(from + 1, num_statements - 1);
-      std::vector<Btp::NodeId> inner(nodes.begin() + from, nodes.begin() + to + 1);
-      Btp::NodeId wrapped;
-      switch (rng_() % 3) {
-        case 0:
-          wrapped = program.Loop(program.Seq(inner));
-          break;
-        case 1:
-          wrapped = program.Optional(program.Seq(inner));
-          break;
-        default:
-          wrapped = program.Choice(program.Seq(inner), program.Stmt(ids[from]));
-          break;
-      }
-      std::vector<Btp::NodeId> rebuilt(nodes.begin(), nodes.begin() + from);
-      rebuilt.push_back(wrapped);
-      rebuilt.insert(rebuilt.end(), nodes.begin() + to + 1, nodes.end());
-      nodes = std::move(rebuilt);
-    }
-    program.Finish(program.Seq(nodes));
-    return program;
-  }
-
-  std::mt19937_64 rng_;
-};
+// --- Randomized workloads from the shared generator
+// (tests/support/random_workload.h): 4-5 programs (15-31 masks each) whose
+// mask bits map to LTP *ranges*, not single nodes.
 
 class MaskedDetectorRandomTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(MaskedDetectorRandomTest, AgreesWithInducedSubgraphOracleOnEveryMask) {
-  RandomWorkloadGen gen(GetParam() * 6271 + 17);
+  test_support::RandomWorkloadGen gen(GetParam() * 6271 + 17);
   Schema schema;
   std::vector<Btp> programs = gen.Generate(schema);
   for (const AnalysisSettings& settings :

@@ -23,6 +23,7 @@
 #include "search/counterexample.h"
 #include "summary/build_summary.h"
 #include "workloads/workload.h"
+#include "support/cycle_oracle.h"
 
 namespace mvrc {
 namespace {
@@ -53,7 +54,7 @@ TEST(PhantomTest, DetectorRejectsTheWorkload) {
   Workload workload = MakePhantomWorkload();
   SummaryGraph graph =
       BuildSummaryGraph(workload.programs, AnalysisSettings::AttrDepFk());
-  std::optional<TypeIIWitness> witness = FindTypeIICycle(graph);
+  std::optional<TypeIIWitness> witness = oracle::FindTypeIICycle(graph);
   ASSERT_TRUE(witness.has_value());
   // The counterflow edge is the predicate rw-antidependency into the insert.
   EXPECT_TRUE(witness->e4.counterflow);

@@ -4,14 +4,16 @@
 // ncDepConds/cDepConds clauses (including the foreign-key suppression
 // loop), the per-pair edge emission, and the type-I / type-II cycle
 // searches (both the optimized boolean-matrix implementation and literal
-// Algorithm 2) with the read-like-source disjunct hardcoded. Any drift the
-// policy dispatch introduces in edge arenas, verdicts or witnesses fails
-// here, on 20 seeded random workloads and the builtin benchmarks across all
-// four granularity/FK settings.
+// Algorithm 2) with the read-like-source disjunct hardcoded. It is compared
+// against the policy-dispatched graph-copy searches of
+// tests/support/cycle_oracle.h and against the production detector
+// (IsRobust and the witness text of RunCycleTest). Any drift the policy
+// dispatch introduces in edge arenas, verdicts or witnesses fails here, on
+// 20 seeded random workloads and the builtin benchmarks across all four
+// granularity/FK settings.
 
 #include <cstdint>
 #include <optional>
-#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,6 +28,8 @@
 #include "workloads/auction.h"
 #include "workloads/smallbank.h"
 #include "workloads/tpcc.h"
+#include "support/cycle_oracle.h"
+#include "support/random_workload.h"
 
 namespace mvrc {
 namespace {
@@ -363,21 +367,27 @@ void ExpectPinnedToOracle(const std::vector<Btp>& programs, const AnalysisSettin
   ASSERT_EQ(t.graph.num_counterflow_edges(), oracle.num_counterflow_edges());
 
   std::optional<TypeIWitness> oracle1 = OracleFindTypeICycle(oracle);
-  std::optional<TypeIWitness> refactored1 = FindTypeICycle(t.graph);
+  std::optional<TypeIWitness> refactored1 = oracle::FindTypeICycle(t.graph);
   ASSERT_EQ(refactored1.has_value(), oracle1.has_value());
+  CycleTestOutcome production1 = RunCycleTest(t.graph, Method::kTypeI, settings.policy());
+  EXPECT_EQ(production1.robust, !oracle1.has_value());
   if (oracle1.has_value()) {
     EXPECT_EQ(refactored1->Describe(t.graph), oracle1->Describe(oracle));
+    EXPECT_EQ(production1.witness, oracle1->Describe(oracle));
   }
 
   std::optional<TypeIIWitness> oracle2 = OracleFindTypeIICycle(oracle);
-  std::optional<TypeIIWitness> refactored2 = FindTypeIICycle(t.graph);
+  std::optional<TypeIIWitness> refactored2 = oracle::FindTypeIICycle(t.graph);
   ASSERT_EQ(refactored2.has_value(), oracle2.has_value());
+  CycleTestOutcome production2 = RunCycleTest(t.graph, Method::kTypeII, settings.policy());
+  EXPECT_EQ(production2.robust, !oracle2.has_value());
   if (oracle2.has_value()) {
     EXPECT_EQ(refactored2->Describe(t.graph), oracle2->Describe(oracle));
+    EXPECT_EQ(production2.witness, oracle2->Describe(oracle));
   }
 
   std::optional<TypeIIWitness> oracle2n = OracleFindTypeIICycleNaive(oracle);
-  std::optional<TypeIIWitness> refactored2n = FindTypeIICycleNaive(t.graph);
+  std::optional<TypeIIWitness> refactored2n = oracle::FindTypeIICycleNaive(t.graph);
   ASSERT_EQ(refactored2n.has_value(), oracle2n.has_value());
   if (oracle2n.has_value()) {
     EXPECT_EQ(refactored2n->Describe(t.graph), oracle2n->Describe(oracle));
@@ -385,7 +395,7 @@ void ExpectPinnedToOracle(const std::vector<Btp>& programs, const AnalysisSettin
 
   EXPECT_EQ(IsRobust(t.graph, Method::kTypeI), !oracle1.has_value());
   EXPECT_EQ(IsRobust(t.graph, Method::kTypeII), !oracle2.has_value());
-  EXPECT_EQ(IsRobust(t.graph, Method::kTypeIINaive), !oracle2n.has_value());
+  EXPECT_EQ(oracle2.has_value(), oracle2n.has_value());
 }
 
 // Pins the subset sweep: every mask's verdict equals the oracle run on the
@@ -414,111 +424,12 @@ void ExpectSweepPinnedToOracle(const std::vector<Btp>& programs,
   }
 }
 
-// Mirrors the generator idiom of tests/masked_detector_test.cc (same seeds
-// as the masked-detector differential: these are "the 20-seed random
-// workloads").
-class RandomWorkloadGen {
- public:
-  explicit RandomWorkloadGen(uint64_t seed) : rng_(seed) {}
-
-  std::vector<Btp> Generate(Schema& schema) {
-    const int num_relations = Pick(2, 3);
-    for (int r = 0; r < num_relations; ++r) {
-      std::vector<std::string> attrs;
-      const int num_attrs = Pick(2, 4);
-      for (int a = 0; a < num_attrs; ++a) {
-        attrs.push_back("a" + std::to_string(r) + std::to_string(a));
-      }
-      schema.AddRelation("R" + std::to_string(r), attrs, {attrs[0]});
-    }
-    for (int r = 1; r < num_relations; ++r) {
-      if (Chance(0.5)) schema.AddForeignKey("f" + std::to_string(r), r, {}, 0);
-    }
-    std::vector<Btp> programs;
-    const int num_programs = Pick(4, 5);
-    for (int p = 0; p < num_programs; ++p) programs.push_back(GenerateProgram(schema, p));
-    return programs;
-  }
-
- private:
-  int Pick(int lo, int hi) { return lo + static_cast<int>(rng_() % (hi - lo + 1)); }
-  bool Chance(double p) { return (rng_() % 1000) < p * 1000; }
-
-  AttrSet RandomSubset(const Schema& schema, RelationId rel, bool non_empty) {
-    AttrSet set;
-    const int n = schema.relation(rel).num_attrs();
-    for (int a = 0; a < n; ++a) {
-      if (Chance(0.45)) set.Insert(a);
-    }
-    if (non_empty && set.empty()) set.Insert(static_cast<AttrId>(rng_() % n));
-    return set;
-  }
-
-  Statement RandomStatement(const Schema& schema, const std::string& label) {
-    RelationId rel = static_cast<RelationId>(rng_() % schema.num_relations());
-    switch (rng_() % 7) {
-      case 0:
-        return Statement::Insert(label, schema, rel);
-      case 1:
-        return Statement::KeySelect(label, schema, rel, RandomSubset(schema, rel, false));
-      case 2:
-        return Statement::PredSelect(label, schema, rel, RandomSubset(schema, rel, false),
-                                     RandomSubset(schema, rel, false));
-      case 3:
-        return Statement::KeyUpdate(label, schema, rel, RandomSubset(schema, rel, false),
-                                    RandomSubset(schema, rel, true));
-      case 4:
-        return Statement::PredUpdate(label, schema, rel, RandomSubset(schema, rel, false),
-                                     RandomSubset(schema, rel, false),
-                                     RandomSubset(schema, rel, true));
-      case 5:
-        return Statement::KeyDelete(label, schema, rel);
-      default:
-        return Statement::PredDelete(label, schema, rel, RandomSubset(schema, rel, false));
-    }
-  }
-
-  Btp GenerateProgram(const Schema& schema, int index) {
-    Btp program("P" + std::to_string(index));
-    const int num_statements = Pick(2, 4);
-    std::vector<StmtId> ids;
-    for (int q = 0; q < num_statements; ++q) {
-      ids.push_back(program.AddStatement(RandomStatement(schema, "q" + std::to_string(q + 1))));
-    }
-    std::vector<Btp::NodeId> nodes;
-    for (StmtId id : ids) nodes.push_back(program.Stmt(id));
-    if (num_statements >= 2 && Chance(0.5)) {
-      const int from = Pick(0, num_statements - 2);
-      const int to = Pick(from + 1, num_statements - 1);
-      std::vector<Btp::NodeId> inner(nodes.begin() + from, nodes.begin() + to + 1);
-      Btp::NodeId wrapped;
-      switch (rng_() % 3) {
-        case 0:
-          wrapped = program.Loop(program.Seq(inner));
-          break;
-        case 1:
-          wrapped = program.Optional(program.Seq(inner));
-          break;
-        default:
-          wrapped = program.Choice(program.Seq(inner), program.Stmt(ids[from]));
-          break;
-      }
-      std::vector<Btp::NodeId> rebuilt(nodes.begin(), nodes.begin() + from);
-      rebuilt.push_back(wrapped);
-      rebuilt.insert(rebuilt.end(), nodes.begin() + to + 1, nodes.end());
-      nodes = std::move(rebuilt);
-    }
-    program.Finish(program.Seq(nodes));
-    return program;
-  }
-
-  std::mt19937_64 rng_;
-};
-
+// The shared generator with the masked-detector differential's seeds:
+// these are "the 20-seed random workloads".
 class PolicyDifferentialRandomTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PolicyDifferentialRandomTest, MvrcPipelineIsBitIdenticalToPreRefactorOracle) {
-  RandomWorkloadGen gen(GetParam() * 6271 + 17);
+  test_support::RandomWorkloadGen gen(GetParam() * 6271 + 17);
   Schema schema;
   std::vector<Btp> programs = gen.Generate(schema);
   for (const AnalysisSettings& settings : kAllSettings) {

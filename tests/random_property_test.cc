@@ -29,6 +29,7 @@
 #include "robust/detector.h"
 #include "summary/build_summary.h"
 #include "workloads/workload.h"
+#include "support/cycle_oracle.h"
 
 namespace mvrc {
 namespace {
@@ -189,8 +190,8 @@ TEST_P(RandomWorkloadProperties, DetectorInvariants) {
       EXPECT_TRUE(IsRobust(graph, Method::kTypeII)) << settings.name();
     }
     // P2: naive and optimized agree.
-    EXPECT_EQ(FindTypeIICycle(graph).has_value(),
-              FindTypeIICycleNaive(graph).has_value())
+    EXPECT_EQ(oracle::FindTypeIICycle(graph).has_value(),
+              oracle::FindTypeIICycleNaive(graph).has_value())
         << settings.name();
 
     // P5 / P6: edge structure.

@@ -2,9 +2,10 @@
 // semantics the analysis service builds on it: hits and misses are
 // accounted, revisions bump cached verdicts out exactly when a mutation
 // changes a program's incident edges, and fingerprints keyed under
-// different isolation levels never collide. The wide 128-bit currency is
-// covered too: distinctness over exhaustively enumerated subset families,
-// per-member revision sensitivity, and — through a >32-program session —
+// different isolation levels never collide. Fingerprint distinctness is
+// checked over exhaustively enumerated subset families and per-member
+// revision changes; through sessions, `check` and both subset regimes are
+// shown to share one key space, and — through a >32-program session —
 // cross-mutation cache hits in the core-guided regime.
 
 #include <cstdint>
@@ -28,16 +29,29 @@
 namespace mvrc {
 namespace {
 
+std::vector<std::pair<std::string, int64_t>> MakeMembers(int n, int64_t revision = 1) {
+  std::vector<std::pair<std::string, int64_t>> members;
+  for (int i = 0; i < n; ++i) members.emplace_back("P" + std::to_string(i), revision);
+  return members;
+}
+
+// The fingerprint of {P0, P1} over a three-member list.
+WideFingerprint SomeKey() {
+  const WideFingerprinter fp("ctx", 1, MakeMembers(3));
+  return fp.Of(ProgramSet::FromMask(0b011, 3));
+}
+
 TEST(VerdictCacheTest, LookupMissThenHit) {
   VerdictCache cache;
+  const WideFingerprint k1 = SomeKey();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.Lookup("k1").has_value());
+  EXPECT_FALSE(cache.Lookup(k1).has_value());
   EXPECT_EQ(cache.misses(), 1);
   EXPECT_EQ(cache.hits(), 0);
 
-  cache.Store("k1", true);
+  cache.Store(k1, true);
   EXPECT_EQ(cache.size(), 1u);
-  std::optional<bool> verdict = cache.Lookup("k1");
+  std::optional<bool> verdict = cache.Lookup(k1);
   ASSERT_TRUE(verdict.has_value());
   EXPECT_TRUE(*verdict);
   EXPECT_EQ(cache.hits(), 1);
@@ -46,32 +60,38 @@ TEST(VerdictCacheTest, LookupMissThenHit) {
 
 TEST(VerdictCacheTest, StoreOverwritesAndClearEmpties) {
   VerdictCache cache;
-  cache.Store("k", true);
-  cache.Store("k", false);
+  const WideFingerprint k = SomeKey();
+  cache.Store(k, true);
+  cache.Store(k, false);
   EXPECT_EQ(cache.size(), 1u);
-  std::optional<bool> verdict = cache.Lookup("k");
+  std::optional<bool> verdict = cache.Lookup(k);
   ASSERT_TRUE(verdict.has_value());
   EXPECT_FALSE(*verdict);
 
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.Lookup("k").has_value());
+  EXPECT_FALSE(cache.Lookup(k).has_value());
   // Counters survive Clear (they describe the cache's lifetime service).
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(cache.misses(), 1);
 }
 
 // Fingerprints under different isolation levels are distinct keys even for
-// the same program set, method and revision — the convention
-// WorkloadSession::FingerprintLocked implements by prefixing the settings
-// string.
+// the same program set, method and revisions — the convention
+// WorkloadSession::WideFingerprinterLocked implements by seeding the
+// fingerprinter with the settings string.
 TEST(VerdictCacheTest, IsolationLevelsDoNotCollide) {
   VerdictCache cache;
-  const std::string mvrc_key =
-      AnalysisSettings::AttrDepFk().ToString() + "|1|Monitor#1;Refresh#2;";
-  const std::string rc_key =
-      AnalysisSettings::AttrDepFk().WithIsolation(IsolationLevel::kRc).ToString() +
-      "|1|Monitor#1;Refresh#2;";
+  const std::vector<std::pair<std::string, int64_t>> members = {{"Monitor", 1},
+                                                                 {"Refresh", 2}};
+  const ProgramSet both = ProgramSet::Full(2);
+  const WideFingerprint mvrc_key =
+      WideFingerprinter(AnalysisSettings::AttrDepFk().ToString(), 1, members).Of(both);
+  const WideFingerprint rc_key =
+      WideFingerprinter(
+          AnalysisSettings::AttrDepFk().WithIsolation(IsolationLevel::kRc).ToString(), 1,
+          members)
+          .Of(both);
   ASSERT_NE(mvrc_key, rc_key);
   cache.Store(mvrc_key, false);
   cache.Store(rc_key, true);
@@ -80,13 +100,7 @@ TEST(VerdictCacheTest, IsolationLevelsDoNotCollide) {
   EXPECT_EQ(cache.Lookup(rc_key), std::optional<bool>(true));
 }
 
-// --- The wide 128-bit currency. -------------------------------------------
-
-std::vector<std::pair<std::string, int64_t>> MakeMembers(int n, int64_t revision = 1) {
-  std::vector<std::pair<std::string, int64_t>> members;
-  for (int i = 0; i < n; ++i) members.emplace_back("P" + std::to_string(i), revision);
-  return members;
-}
+// --- Wide fingerprints past the uint32_t mask range. -----------------------
 
 TEST(VerdictCacheWideTest, WideLookupStoreAndClear) {
   const WideFingerprinter fp("ctx", 1, MakeMembers(40));
@@ -102,8 +116,10 @@ TEST(VerdictCacheWideTest, WideLookupStoreAndClear) {
   EXPECT_EQ(cache.Lookup(fp.Of(subset)), std::optional<bool>(true));
   EXPECT_EQ(cache.hits(), 1);
 
-  // Narrow and wide entries coexist and are counted together.
-  cache.Store("narrow-key", false);
+  // Any other subset is one more key of the same map.
+  ProgramSet other(40);
+  other.Set(2);
+  cache.Store(fp.Of(other), false);
   EXPECT_EQ(cache.size(), 2u);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
@@ -231,6 +247,64 @@ TEST(VerdictCacheSessionTest, IsolationLevelsKeepIndependentVerdicts) {
   EXPECT_TRUE(rc_session.Check().from_cache);
   EXPECT_FALSE(mvrc_session.Check().robust);
   EXPECT_TRUE(rc_session.Check().robust);
+}
+
+// One key space past 32 programs: a `check` stores the full set's verdict
+// under the fingerprint the core-guided search looks up for its first
+// candidate, so the `subsets` that follows pays exactly one detector query
+// less than on a session that never checked. Replacing a program keeps the
+// check cached when its incident edges are unchanged, and not otherwise.
+TEST(VerdictCacheSessionTest, CheckAndSubsetsShareOneKeySpacePast32Programs) {
+  Workload workload = MakeAuctionN(17);  // 34 programs: core-guided regime
+  ASSERT_EQ(workload.programs.size(), 34u);
+  const AnalysisSettings settings = AnalysisSettings::AttrDep();  // non-robust
+
+  WorkloadSession unchecked("unchecked", settings);
+  ASSERT_TRUE(unchecked.LoadWorkload(workload).ok());
+  Result<SubsetReport> reference = unchecked.Subsets();
+  ASSERT_TRUE(reference.ok());
+  const int64_t reference_queries = unchecked.stats().detector_runs;
+
+  WorkloadSession session("checked", settings);
+  ASSERT_TRUE(session.LoadWorkload(workload).ok());
+  CheckResult check = session.Check();
+  EXPECT_FALSE(check.from_cache);
+  EXPECT_FALSE(check.robust);
+  EXPECT_FALSE(check.witness.empty());
+  EXPECT_EQ(session.stats().detector_runs, 1);
+
+  Result<SubsetReport> subsets = session.Subsets();
+  ASSERT_TRUE(subsets.ok());
+  EXPECT_TRUE(subsets.value().from_core_search);
+  EXPECT_EQ(subsets.value().cores, reference.value().cores);
+  EXPECT_EQ(subsets.value().maximal_sets, reference.value().maximal_sets);
+  // The full-set candidate came from the cache: one query fewer in total
+  // than the unchecked session, the check's own query included.
+  EXPECT_EQ(subsets.value().detector_queries, reference.value().detector_queries - 1);
+  EXPECT_EQ(session.stats().detector_runs, reference_queries);
+
+  // And the other way round: a subset analysis stores the full set's
+  // verdict where `check` finds it.
+  CheckResult after_subsets = unchecked.Check();
+  EXPECT_TRUE(after_subsets.from_cache);
+  EXPECT_FALSE(after_subsets.robust);
+
+  // Edge-preserving replace: the revision survives and `check` stays cached.
+  ASSERT_TRUE(session.ReplaceProgram(workload.programs[0]).ok());
+  CheckResult after_identity = session.Check();
+  EXPECT_TRUE(after_identity.from_cache);
+  EXPECT_FALSE(after_identity.robust);
+
+  // Edge-changing replace: FindBids without its predicate read on Bids
+  // loses edges, so the revision bumps and `check` runs the detector again.
+  const Btp& find_bids = workload.programs[0];
+  Btp reduced(find_bids.name());
+  reduced.AddStatement(find_bids.statement(0));
+  ASSERT_TRUE(session.ReplaceProgram(reduced).ok());
+  const int64_t runs_before = session.stats().detector_runs;
+  CheckResult after_mutation = session.Check();
+  EXPECT_FALSE(after_mutation.from_cache);
+  EXPECT_EQ(session.stats().detector_runs, runs_before + 1);
 }
 
 // Cross-mutation memoization past 32 programs: a 34-program session's
