@@ -3,9 +3,9 @@
 // Two phases:
 //   1. Equivalence gate (small n): for SmallBank, TPC-C and Auction(pairs/4)
 //      under tuple-dep and attr-dep settings, the core-guided lattice must
-//      reproduce the exhaustive sweep's robust_masks / maximal_masks
-//      bit-for-bit (exit 1 otherwise — CI runs this as the
-//      core-guided-vs-exhaustive gate).
+//      reproduce the robust_masks / maximal_masks of the per-mask oracle
+//      sweep (tests/support/subset_oracle.h) bit-for-bit (exit 1 otherwise
+//      — CI runs this as the core-guided-vs-exhaustive gate).
 //   2. Wide lattice (the headline): Auction(pairs) — 2*pairs programs, past
 //      the 2^20 exhaustive barrier — under attr dep (no FK: with FKs the
 //      whole Auction workload is robust and the lattice is trivial). The
@@ -52,6 +52,7 @@
 #include "robust/masked_detector.h"
 #include "robust/subsets.h"
 #include "summary/build_summary.h"
+#include "support/subset_oracle.h"
 #include "util/json.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -71,33 +72,33 @@ struct Options {
   std::string json_out = "BENCH_core_search.json";
 };
 
-// --- Phase 1: the core-guided lattice must agree with the exhaustive sweep
-// wherever the exhaustive sweep exists.
+// --- Phase 1: the core-guided lattice must agree with the per-mask oracle
+// sweep wherever the oracle can enumerate. Both sides are timed from
+// programs (unfold + graph build + analysis).
 
 bool CheckEquivalence(const Workload& workload, const AnalysisSettings& settings,
                       Json& records) {
   Stopwatch exhaustive_timer;
-  Result<SubsetReport> exhaustive =
-      TryAnalyzeSubsets(workload.programs, settings, Method::kTypeII);
+  const SubsetReport exhaustive =
+      oracle::SweepSubsets(workload.programs, settings, Method::kTypeII);
   const double exhaustive_seconds = exhaustive_timer.ElapsedSeconds();
   CoreSearchStats stats;
   Stopwatch guided_timer;
   Result<SubsetReport> guided = TryAnalyzeSubsetsCoreGuided(
       workload.programs, settings, Method::kTypeII, nullptr, &stats);
   const double guided_seconds = guided_timer.ElapsedSeconds();
-  if (!exhaustive.ok() || !guided.ok()) {
-    std::printf("FAIL: %s / %s: sweep errored (%s)\n", workload.name.c_str(),
-                settings.name(),
-                (!exhaustive.ok() ? exhaustive : guided).error().c_str());
+  if (!guided.ok()) {
+    std::printf("FAIL: %s / %s: search errored (%s)\n", workload.name.c_str(),
+                settings.name(), guided.error().c_str());
     return false;
   }
-  if (guided.value().robust_masks != exhaustive.value().robust_masks ||
-      guided.value().maximal_masks != exhaustive.value().maximal_masks) {
-    std::printf("FAIL: %s / %s: core-guided lattice differs from the exhaustive "
+  if (guided.value().robust_masks != exhaustive.robust_masks ||
+      guided.value().maximal_masks != exhaustive.maximal_masks) {
+    std::printf("FAIL: %s / %s: core-guided lattice differs from the oracle "
                 "sweep (%zu vs %zu robust masks, %zu vs %zu maximal)\n",
                 workload.name.c_str(), settings.name(),
-                guided.value().robust_masks.size(), exhaustive.value().robust_masks.size(),
-                guided.value().maximal_masks.size(), exhaustive.value().maximal_masks.size());
+                guided.value().robust_masks.size(), exhaustive.robust_masks.size(),
+                guided.value().maximal_masks.size(), exhaustive.maximal_masks.size());
     return false;
   }
   const int n = guided.value().num_programs;

@@ -1,10 +1,10 @@
 // Measures the incremental analysis service against from-scratch analysis:
 // on growing Auction(n) workloads (2n programs), one program is mutated and
-// the workload re-checked (full-set verdict + subset sweep). From-scratch
-// re-analysis rebuilds the summary graph over every LTP pair and re-sweeps
-// every subset; the incremental session recomputes only the mutated
-// program's row and column of dep-table cells and re-runs the detector only
-// on subsets whose fingerprint changed.
+// the workload re-checked (full-set verdict + subset analysis). From-scratch
+// re-analysis rebuilds the summary graph over every LTP pair and re-runs the
+// subset search without a cache; the incremental session recomputes only the
+// mutated program's row and column of dep-table cells and re-runs the
+// detector only on subsets whose fingerprint changed.
 //
 // The work metric is dep-table statement pairs — one unit per (occurrence,
 // occurrence) pair fed through Algorithm 1's condition tables, the measure
@@ -54,9 +54,9 @@ struct RunResult {
   SubsetReport report;
 };
 
-// From-scratch mutation re-check: rebuild + full sweep on the mutated set.
-// Counting store-hooks measure the sweep's actual (Proposition 5.2-pruned)
-// detector invocations, mirroring how the incremental side is measured.
+// From-scratch mutation re-check: rebuild + subset analysis on the mutated
+// set. Counting store-hooks measure the search's actual detector
+// invocations, mirroring how the incremental side is measured.
 RunResult RunScratch(const std::vector<Btp>& mutated_programs,
                      const AnalysisSettings& settings) {
   RunResult result;

@@ -4,8 +4,8 @@
 // the 48-program Auction(24), which exercises the wide regime), every
 // granularity/FK setting, and both shipped policies (MVRC, lock-based RC),
 // it reports the full-set verdict and the subset analysis' robust-subset
-// count/rate — via the exhaustive sweep through kMaxSubsetPrograms and the
-// core-guided lattice search beyond it — and enforces three correctness
+// count/rate — as a per-mask verdict list through kMaxSubsetPrograms and as
+// the core-guided lattice beyond it — and enforces three correctness
 // gates:
 //
 //   1. Monotonicity: every lock-based-RC schedule is MVRC-admissible, so

@@ -1,16 +1,14 @@
-// Measures the parallel subset-robustness engine: wall-clock for the full
-// 2^|programs| subset sweep (AnalyzeSubsets) at 1/2/4/8 threads on
-// SmallBank, TPC-C and Auction(n), and for summary-graph construction
-// (Algorithm 1) on Auction(m). Every multi-threaded report is checked for
-// equality with the single-threaded one, so the table doubles as an
-// end-to-end determinism check.
+// Measures the parallel subset-robustness engine: wall-clock for the subset
+// analysis of all 2^|programs| - 1 subsets (AnalyzeSubsets, the core-guided
+// search) at 1/2/4/8 threads on SmallBank, TPC-C and Auction(n), and for
+// summary-graph construction (Algorithm 1) on Auction(m). Every
+// multi-threaded report is checked for equality with the single-threaded
+// one, so the table doubles as an end-to-end determinism check.
 //
 // SmallBank and TPC-C have 5 programs (31 subsets) — they are listed for
 // completeness but are too small to amortize fan-out. Auction(n) has 2n
 // programs, and under tuple granularity without foreign keys most subsets
-// are non-robust, so pruning collapses little and the sweep runs the
-// detector on thousands of masks: that is the case the ≥ 2x speedup target
-// applies to (given ≥ 4 hardware threads).
+// are non-robust: the case with the most cores to extract.
 //
 // Usage: bench_parallel_scaling [auction_n] [repetitions]   (defaults 6, 3)
 
@@ -125,7 +123,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: bench_parallel_scaling [auction_n in 1..10] [repetitions]\n");
     return 2;
   }
-  std::printf("Parallel scaling: 2^|programs| subset sweep (best of %d)\n", repetitions);
+  std::printf("Parallel scaling: subset analysis (best of %d)\n", repetitions);
   std::printf("hardware threads available: %d\n", ThreadPool::ResolveThreadCount(0));
 
   bool ok = true;

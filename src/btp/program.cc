@@ -6,9 +6,18 @@
 
 namespace mvrc {
 
+Btp::Btp(std::string name) : name_(std::move(name)) {
+  Node linear;
+  linear.kind = NodeKind::kSeq;
+  nodes_.push_back(std::move(linear));
+}
+
 StmtId Btp::AddStatement(Statement statement) {
   statements_.push_back(std::move(statement));
-  return static_cast<StmtId>(statements_.size()) - 1;
+  const StmtId id = static_cast<StmtId>(statements_.size()) - 1;
+  const NodeId leaf = Stmt(id);
+  nodes_[kLinearRoot].children.push_back(leaf);
+  return id;
 }
 
 Btp::NodeId Btp::AddNode(Node node) {
@@ -72,17 +81,7 @@ void Btp::AddFkConstraint(const Schema& schema, StmtId parent, ForeignKeyId fk, 
 
 Btp::NodeId Btp::EffectiveRoot() const {
   MVRC_CHECK_MSG(num_statements() > 0, "program has no statements");
-  if (root_ >= 0) return root_;
-  // Lazily materialize the linear default structure. nodes_ is mutable in
-  // spirit here; keep const interface by building on demand into a copy-free
-  // cache. Simplest correct approach: require callers to treat the returned
-  // structure via node(); we append the default nodes once.
-  Btp* self = const_cast<Btp*>(this);
-  std::vector<NodeId> children;
-  children.reserve(statements_.size());
-  for (StmtId q = 0; q < num_statements(); ++q) children.push_back(self->Stmt(q));
-  self->root_ = self->Seq(std::move(children));
-  return root_;
+  return root_ >= 0 ? root_ : kLinearRoot;
 }
 
 bool Btp::IsLinear() const {

@@ -41,7 +41,9 @@ struct FkConstraint {
 ///   p.Finish(p.Seq({p.Stmt(q3), p.Stmt(q4), p.Optional(p.Stmt(q5)), p.Stmt(q6)}));
 ///
 /// A default linear structure (the sequence of all statements in insertion
-/// order) is used when Finish() is never called.
+/// order) is used when Finish() is never called. It is kept up to date by
+/// AddStatement, so no const method mutates a Btp and one program may be
+/// read — unfolded, say — from several threads at once.
 class Btp {
  public:
   using NodeId = int;
@@ -54,7 +56,7 @@ class Btp {
     std::vector<NodeId> children;   // kSeq (n-ary), kChoice (2), kOptional/kLoop (1)
   };
 
-  explicit Btp(std::string name) : name_(std::move(name)) {}
+  explicit Btp(std::string name);
 
   const std::string& name() const { return name_; }
 
@@ -96,6 +98,9 @@ class Btp {
 
  private:
   NodeId AddNode(Node node);
+
+  // Node id of the default linear structure's sequence node.
+  static constexpr NodeId kLinearRoot = 0;
 
   std::string name_;
   std::vector<Statement> statements_;

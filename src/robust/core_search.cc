@@ -256,9 +256,8 @@ Result<SubsetReport> AnalyzeSubsetsCoreGuided(const MaskedDetector& detector, Me
     for (size_t i = 0; i < batch; ++i) {
       if (candidates[i].Empty()) {
         // Complement of the full hitting set: the empty subset, trivially
-        // robust (no programs, no cycle). Skipping the query keeps hook
-        // traffic aligned with the exhaustive sweep, which never evaluates
-        // mask 0.
+        // robust (no programs, no cycle). Skipping the query keeps the
+        // empty set — mask 0 — out of the hook traffic.
         outcomes[i].verdict = 1;
         outcomes[i].trivially_robust = true;
         continue;
@@ -412,7 +411,7 @@ Result<SubsetReport> AnalyzeSubsetsCoreGuided(const MaskedDetector& detector, Me
   // family is complete: a subset containing no core lies inside some
   // confirmed complement and is robust by downward closure. The maximal
   // robust subsets are exactly those complements (minus the empty set,
-  // which the exhaustive sweep never reports).
+  // which is never reported).
   SubsetReport report;
   report.num_programs = n;
   report.num_threads = workers;
@@ -432,8 +431,9 @@ Result<SubsetReport> AnalyzeSubsetsCoreGuided(const MaskedDetector& detector, Me
     }
   }
   if (SubsetProgramCountOk(n)) {
-    // Materialize the full verdict list from the lattice so exhaustive-range
-    // reports are field-for-field comparable with AnalyzeSubsets.
+    // Materialize the per-mask verdict list from the lattice: a mask is
+    // robust iff it contains no core. This bit test is the only loop over
+    // all 2^n masks; it makes no detector query.
     std::vector<uint32_t> core_masks;
     core_masks.reserve(report.cores.size());
     for (const ProgramSet& core : report.cores) core_masks.push_back(core.ToMask());

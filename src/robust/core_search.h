@@ -1,5 +1,7 @@
-// Core-guided subset analysis: the Figure 6 / Figure 7 per-subset verdicts
-// past the exhaustive sweep's 2^20 barrier.
+// Core-guided subset analysis: the one engine behind every Figure 6 /
+// Figure 7 per-subset verdict, at every program count up to
+// kMaxCoreSearchPrograms (robust/subsets.h is its per-mask face for
+// workloads of at most kMaxSubsetPrograms programs).
 //
 // Robustness is closed under subsets (Proposition 5.2), so non-robustness
 // is upward-closed: the full verdict lattice over 2^n subsets is determined
@@ -31,7 +33,7 @@
 // work is proportional to the lattice's *description* (cores + maximal
 // sets, each costing one candidate test or one witness-plus-shrink), not
 // to its 2^n size — on replicated 64-program workloads the search spends
-// thousands of queries where the sweep would need 2^64
+// thousands of queries where a per-mask sweep would need 2^64
 // (bench/bench_core_search.cc measures the ratio).
 //
 // Parallelism: each round runs in two pool-fanned phases orchestrated from
@@ -94,8 +96,8 @@ struct CoreSearchOptions {
   /// unconfirmed). The family's final size is the number of maximal robust
   /// subsets, which is exponential in n for adversarial core structures;
   /// crossing the bound aborts the search with an error Result instead of
-  /// consuming unbounded memory. The default admits every lattice the
-  /// exhaustive sweep could have enumerated.
+  /// consuming unbounded memory. The default admits every lattice of at
+  /// most kMaxSubsetPrograms programs (2^20 subsets).
   int64_t max_lattice_sets = int64_t{1} << 20;
 };
 
@@ -118,16 +120,18 @@ struct CoreSearchStats {
   int fallback_extractions = 0;   // candidates whose chunks all probed robust
 };
 
-/// Core-guided analysis against a caller-owned MaskedDetector — the wide
-/// counterpart of AnalyzeSubsetsOnDetector, producing the lattice
-/// representation of the same verdicts (SubsetReport::cores /
-/// maximal_sets; robust_masks is additionally materialized when
-/// num_programs() <= kMaxSubsetPrograms, for differential comparison).
+/// Core-guided analysis against a caller-owned MaskedDetector, producing the
+/// lattice representation of the verdicts (SubsetReport::cores /
+/// maximal_sets); robust_masks is additionally materialized by bit tests
+/// against the cores when num_programs() <= kMaxSubsetPrograms.
+/// AnalyzeSubsetsOnDetector (robust/subsets.h) is this search behind a
+/// per-mask range check.
 /// `hooks` follow the SubsetSweepHooks contract: the search reads only the
 /// wide pair (wide_lookup/wide_store), which, when both are set, memoizes
 /// EVERY IsRobust evaluation — candidates, chunk probes, shrink tests — at
 /// any accepted program count, and is invoked from pool workers (must be
-/// thread-safe). The narrow pair is ignored. Errors: program count outside
+/// thread-safe). The narrow pair is ignored here; the robust/subsets.h
+/// entry points lift it onto the wide pair. Errors: program count outside
 /// [1, kMaxCoreSearchPrograms], or the hitting-set family exceeding
 /// options.max_lattice_sets.
 Result<SubsetReport> AnalyzeSubsetsCoreGuided(const MaskedDetector& detector, Method method,
@@ -136,7 +140,8 @@ Result<SubsetReport> AnalyzeSubsetsCoreGuided(const MaskedDetector& detector, Me
                                               CoreSearchStats* stats = nullptr,
                                               const CoreSearchOptions& options = {});
 
-/// Convenience entry point from programs, mirroring TryAnalyzeSubsets:
+/// Convenience entry point from programs, as TryAnalyzeSubsets but for every
+/// program count the search accepts:
 /// unfolds, builds the full summary graph under settings.policy(), and runs
 /// the core-guided search on a detector over it. A caller-provided pool is
 /// reused for graph construction and the search; otherwise

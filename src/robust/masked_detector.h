@@ -1,6 +1,6 @@
 // The cycle-test engine: every robustness verdict in the library — the
-// full-set check, the exhaustive subset sweep (Figures 6/7, Proposition
-// 5.2) and the core-guided lattice search — is a MaskedDetector query.
+// full-set check and the core-guided subset search (Figures 6/7,
+// Proposition 5.2) — is a MaskedDetector query.
 //
 // A MaskedDetector precomputes, once per SummaryGraph:
 //
@@ -35,8 +35,9 @@
 // Two mask encodings are accepted, selecting identical code paths after the
 // active set is formed:
 //
-//   * `uint32_t` masks — the exhaustive sweep's encoding, valid only while
-//     num_programs() <= 32 (a bit per program), and
+//   * `uint32_t` masks — the per-mask encoding of SubsetReport and of the
+//     test oracles, valid only while num_programs() <= 32 (a bit per
+//     program), and
 //   * `ProgramSet` wide masks (robust/program_set.h) — word-packed subsets
 //     with no program-count ceiling, the encoding of the core-guided search
 //     (robust/core_search.h) and of the full-set check.
@@ -47,8 +48,8 @@
 //
 // Thread safety: a MaskedDetector is immutable after construction and may
 // be shared across threads; each thread needs its own DetectorScratch
-// (SweepParallel keeps one per ThreadPool worker slot, and the core-guided
-// search one per worker for its candidate and shrink fan-outs).
+// (the core-guided search keeps one per ThreadPool worker slot for its
+// candidate and shrink fan-outs).
 
 #ifndef MVRC_ROBUST_MASKED_DETECTOR_H_
 #define MVRC_ROBUST_MASKED_DETECTOR_H_
@@ -130,7 +131,7 @@ class MaskedDetector {
   /// against graph()) and names the same edges and path programs the oracle
   /// would find. These allocate (witness vectors)
   /// and are meant for reporting (RunCycleTest) and for the core-guided
-  /// search's witness extraction, not for the sweep's hot loop.
+  /// search's witness extraction, not for per-subset verdict loops.
   std::optional<TypeIWitness> FindTypeICycle(uint32_t mask, DetectorScratch& scratch) const;
   std::optional<TypeIIWitness> FindTypeIICycle(uint32_t mask, DetectorScratch& scratch) const;
   std::optional<RcSplitWitness> FindRcSplitCycle(uint32_t mask, DetectorScratch& scratch) const;

@@ -1,8 +1,8 @@
 // A dynamic bitset over program (BTP) indices — the wide-mask currency of
 // the core-guided subset search (robust/core_search.h).
 //
-// The exhaustive subset sweep encodes subsets as bits of a `uint32_t` and is
-// capped at kMaxSubsetPrograms; the core-guided search reasons about
+// SubsetReport's per-mask lists encode subsets as bits of a `uint32_t` and
+// are capped at kMaxSubsetPrograms; the core-guided search reasons about
 // workloads of up to kMaxCoreSearchPrograms programs, whose subsets no
 // longer fit a machine word. A ProgramSet is the word-packed equivalent: bit
 // i selects program i, exactly as in the narrow masks, and the ordering

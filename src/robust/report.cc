@@ -98,21 +98,13 @@ WorkloadReport BuildReport(const Workload& workload, bool analyze_subsets,
     }
   }
 
-  if (analyze_subsets && report.num_programs >= 1 &&
-      report.num_programs <= kMaxCoreSearchPrograms) {
-    // Reuse the report's pool instead of constructing another. The
-    // exhaustive sweep serves workloads in its range; larger ones take the
-    // core-guided search, whose maximal sets are the same subsets in the
-    // wide representation.
+  if (analyze_subsets && CoreSearchProgramCountOk(report.num_programs)) {
+    // Reuse the report's pool instead of constructing another.
     const AnalysisSettings subset_settings =
         AnalysisSettings::AttrDepFk().WithThreads(num_threads).WithIsolation(isolation);
-    SubsetReport subsets =
-        (report.num_programs <= kMaxSubsetPrograms
-             ? TryAnalyzeSubsets(workload.programs, subset_settings, Method::kTypeII,
-                                 pool.get())
-             : TryAnalyzeSubsetsCoreGuided(workload.programs, subset_settings,
-                                           Method::kTypeII, pool.get()))
-            .value();
+    SubsetReport subsets = TryAnalyzeSubsetsCoreGuided(workload.programs, subset_settings,
+                                                       Method::kTypeII, pool.get())
+                               .value();
     std::vector<std::string> names = workload.abbreviations;
     if (names.size() != workload.programs.size()) {
       names.clear();

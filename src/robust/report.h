@@ -51,9 +51,8 @@ struct WorkloadReport {
 /// Analyzes `workload` under all four granularity/FK settings with both
 /// methods, under `isolation`'s policy; when `analyze_subsets` is set (and
 /// the workload has at most kMaxCoreSearchPrograms programs) also computes
-/// the maximal robust subsets under attr dep + FK — by exhaustive sweep
-/// through kMaxSubsetPrograms programs, by the core-guided search
-/// (robust/core_search.h) above. `num_threads` parallelizes graph
+/// the maximal robust subsets under attr dep + FK with the core-guided
+/// search (robust/core_search.h). `num_threads` parallelizes graph
 /// construction and the subset analysis (1 = serial, < 1 = hardware
 /// concurrency); it never changes the report's contents.
 WorkloadReport BuildReport(const Workload& workload, bool analyze_subsets,

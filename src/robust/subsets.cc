@@ -3,18 +3,18 @@
 #include <algorithm>
 #include <iterator>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "btp/unfold.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "robust/core_search.h"
 #include "robust/masked_detector.h"
 #include "summary/build_summary.h"
 #include "util/check.h"
-#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace mvrc {
@@ -31,8 +31,8 @@ bool SubsetReport::IsRobustSubset(const ProgramSet& subset) const {
   if (!from_core_search) return IsRobustSubset(subset.ToMask());
   // Lattice answer: robust iff non-empty and above no core (Proposition
   // 5.2's upward closure of non-robustness makes the cores decisive). The
-  // empty subset is excluded to match the exhaustive sweep, which only
-  // enumerates non-empty masks.
+  // empty subset is excluded to match robust_masks, which lists only
+  // non-empty masks.
   if (subset.Empty()) return false;
   for (const ProgramSet& core : cores) {
     if (subset.ContainsAll(core)) return false;
@@ -96,178 +96,50 @@ std::vector<std::string> SubsetReport::DescribeCores(
 
 namespace {
 
-// Maximal = robust with no robust strict superset. Sweep the robust masks in
-// decreasing popcount order: any robust strict superset of `mask` has a
-// strictly larger popcount and is contained in some maximal mask accepted
-// earlier (Proposition 5.2's downward closure makes the maximal masks cover
-// all robust masks), so comparing against the accepted maximal masks alone
-// suffices — O(robust x maximal) instead of the old O(robust^2) all-pairs
-// scan.
-void ComputeMaximalMasks(SubsetReport& report) {
-  std::vector<uint32_t> by_popcount = report.robust_masks;
-  std::sort(by_popcount.begin(), by_popcount.end(), [](uint32_t a, uint32_t b) {
-    int pa = __builtin_popcount(a), pb = __builtin_popcount(b);
-    return pa != pb ? pa > pb : a < b;
-  });
-  for (uint32_t mask : by_popcount) {
-    bool dominated = false;
-    for (uint32_t maximal : report.maximal_masks) {
-      if ((maximal & mask) == mask) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) report.maximal_masks.push_back(mask);
-  }
-  std::sort(report.maximal_masks.begin(), report.maximal_masks.end());
-}
-
-// Memoization shortcut: the cached verdict for `mask`, when hooks are wired.
-std::optional<bool> Lookup(const SubsetSweepHooks* hooks, uint32_t mask) {
-  if (hooks == nullptr || !hooks->lookup) return std::nullopt;
-  return hooks->lookup(mask);
-}
-
-void Store(const SubsetSweepHooks* hooks, uint32_t mask, bool robust) {
-  if (hooks != nullptr && hooks->store) hooks->store(mask, robust);
-}
-
-// The serial sweep: masks in decreasing popcount order, Proposition 5.2
-// pruning applied as soon as a mask is found robust. Per-mask verdicts come
-// from the MaskedDetector against one reused scratch — no graph copies, no
-// per-mask allocation. robust_masks is sorted by the caller, so push order
-// does not matter.
-void SweepSerial(const MaskedDetector& detector, Method method, int n,
-                 const SubsetSweepHooks* hooks, SubsetReport& report) {
-  const uint32_t full = (uint32_t{1} << n) - 1;
-  std::vector<char> known_robust(full + 1, 0);
-  std::vector<uint32_t> order;
-  order.reserve(full);
-  for (uint32_t mask = 1; mask <= full; ++mask) order.push_back(mask);
-  std::sort(order.begin(), order.end(), [](uint32_t a, uint32_t b) {
-    int pa = __builtin_popcount(a), pb = __builtin_popcount(b);
-    return pa != pb ? pa > pb : a < b;
-  });
-
-  DetectorScratch scratch = detector.MakeScratch();
-  for (uint32_t mask : order) {
-    if (!known_robust[mask]) {
-      std::optional<bool> verdict = Lookup(hooks, mask);
-      if (!verdict.has_value()) {
-        verdict = detector.IsRobust(mask, method, scratch);
-        Store(hooks, mask, *verdict);
-      }
-      if (!*verdict) continue;
-      // Mark this subset and all of its subsets robust (Proposition 5.2).
-      for (uint32_t sub = mask; sub != 0; sub = (sub - 1) & mask) known_robust[sub] = 1;
-    }
-    report.robust_masks.push_back(mask);
-  }
-}
-
-// Level-synchronous parallel sweep. Masks within one popcount level are
-// never subsets of one another, so Proposition 5.2 pruning only ever flows
-// from a level to strictly lower levels: the level's unknown masks are
-// independent and fan out across the pool, and the shared known_robust
-// bitmap is merged serially at the level barrier. This visits exactly the
-// masks the serial sweep runs the detector on, so the resulting report is
-// identical. Hooks are consulted and fed only in the serial sections
-// between fan-outs. Each ThreadPool worker slot owns one DetectorScratch
-// for the whole sweep, so the fan-out performs no per-mask allocation
-// either.
-void SweepParallel(const MaskedDetector& detector, Method method, int n, ThreadPool& pool,
-                   const SubsetSweepHooks* hooks, SubsetReport& report) {
-  const uint32_t full = (uint32_t{1} << n) - 1;
-  std::vector<char> known_robust(full + 1, 0);
-  std::vector<std::vector<uint32_t>> levels(n + 1);
-  for (uint32_t mask = 1; mask <= full; ++mask) {
-    levels[__builtin_popcount(mask)].push_back(mask);
-  }
-
-  std::vector<DetectorScratch> scratches;
-  scratches.reserve(pool.num_threads());
-  for (int t = 0; t < pool.num_threads(); ++t) scratches.push_back(detector.MakeScratch());
-
-  for (int level = n; level >= 1; --level) {
-    std::vector<uint32_t> todo;
-    for (uint32_t mask : levels[level]) {
-      if (known_robust[mask]) {
-        report.robust_masks.push_back(mask);
-        continue;
-      }
-      std::optional<bool> cached = Lookup(hooks, mask);
-      if (cached.has_value()) {
-        if (*cached) {
-          for (uint32_t sub = mask; sub != 0; sub = (sub - 1) & mask) known_robust[sub] = 1;
-          report.robust_masks.push_back(mask);
-        }
-        continue;
-      }
-      todo.push_back(mask);
-    }
-    std::vector<char> robust(todo.size(), 0);
-    // Grain-chunked fan-out: one dispatch per block of masks instead of per
-    // mask (levels can hold 100k+ masks, each a microsecond-scale detector
-    // call). Capped so a handful of unusually slow masks cannot serialize a
-    // whole block's worth of work on one worker.
-    const int64_t grain = std::min<int64_t>(
-        ThreadPool::DefaultGrain(static_cast<int64_t>(todo.size()), pool.num_threads()), 256);
-    pool.ParallelForWorkersChunked(
-        static_cast<int64_t>(todo.size()), grain, [&](int worker, int64_t begin, int64_t end) {
-          for (int64_t t = begin; t < end; ++t) {
-            robust[t] = detector.IsRobust(todo[t], method, scratches[worker]) ? 1 : 0;
-          }
-        });
-    // Level barrier: merge verdicts into the shared bitmap before the next
-    // (lower-popcount) level consults it.
-    for (size_t t = 0; t < todo.size(); ++t) {
-      Store(hooks, todo[t], robust[t] != 0);
-      if (!robust[t]) continue;
-      for (uint32_t sub = todo[t]; sub != 0; sub = (sub - 1) & todo[t]) known_robust[sub] = 1;
-      report.robust_masks.push_back(todo[t]);
-    }
-  }
-}
-
 // The shared 1..kMaxSubsetPrograms bounds check; nullopt when `n` is fine.
 std::optional<Result<SubsetReport>> CheckProgramCount(int n) {
   if (SubsetProgramCountOk(n)) return std::nullopt;
   return Result<SubsetReport>::Error(
-      "exhaustive subset analysis supports 1.." + std::to_string(kMaxSubsetPrograms) +
-      " programs (got " + std::to_string(n) +
-      "): subsets are enumerated as 32-bit masks and 2^" +
+      "subset analysis with per-mask results supports 1.." +
+      std::to_string(kMaxSubsetPrograms) + " programs (got " + std::to_string(n) +
+      "): SubsetReport::robust_masks lists every robust subset as a 32-bit mask, and 2^" +
       std::to_string(kMaxSubsetPrograms) +
-      " is the largest exhaustive sweep that stays tractable — larger workloads take the "
-      "core-guided search (AnalyzeSubsetsCoreGuided in robust/core_search.h, up to " +
+      " subsets is the most it materializes — larger workloads call the core-guided search "
+      "directly (AnalyzeSubsetsCoreGuided in robust/core_search.h, up to " +
       std::to_string(kMaxCoreSearchPrograms) +
-      " programs), which the analysis service and `mvrcdet --subsets` select automatically");
+      " programs), which the analysis service and `mvrcdet --subsets` do automatically");
 }
 
+// The funnel every entry point below ends in: the core-guided search.
+// Narrow hooks are lifted onto the wide pair it reads. The search calls wide
+// hooks from pool workers, while narrow callbacks need not be thread-safe,
+// so every narrow call runs under one mutex. The verdicts the detector
+// decided are remembered as well: a mask the search meets twice is answered
+// the second time without the detector, and `store` runs once per mask.
 Result<SubsetReport> SweepDetector(const MaskedDetector& detector, Method method,
                                    ThreadPool* pool, const SubsetSweepHooks* hooks) {
-  const int n = detector.num_programs();
-  if (std::optional<Result<SubsetReport>> error = CheckProgramCount(n)) return *error;
-  TraceSpan span("robust/sweep", "programs=" + std::to_string(n));
-  Stopwatch timer;
-  SubsetReport report;
-  report.num_programs = n;
-  if (pool != nullptr && pool->num_threads() > 1) {
-    report.num_threads = pool->num_threads();
-    SweepParallel(detector, method, n, *pool, hooks, report);
-  } else {
-    report.num_threads = 1;
-    SweepSerial(detector, method, n, hooks, report);
+  if (std::optional<Result<SubsetReport>> error = CheckProgramCount(detector.num_programs())) {
+    return *error;
   }
-  std::sort(report.robust_masks.begin(), report.robust_masks.end());
-  ComputeMaximalMasks(report);
-  static Counter* sweeps = MetricsRegistry::Global().counter("robust.sweeps");
-  static Counter* masks = MetricsRegistry::Global().counter("robust.masks_swept");
-  static Histogram* sweep_us = MetricsRegistry::Global().histogram("robust.sweep_us");
-  sweeps->Add(1);
-  masks->Add((int64_t{1} << n) - 1);  // nonempty subsets of n programs
-  sweep_us->Record(timer.ElapsedMicros());
-  span.AppendArgs("robust_masks=" + std::to_string(report.robust_masks.size()));
-  return report;
+  if (hooks == nullptr || (!hooks->lookup && !hooks->store)) {
+    return AnalyzeSubsetsCoreGuided(detector, method, pool, hooks);
+  }
+  std::mutex mutex;
+  std::unordered_map<uint32_t, bool> decided;
+  SubsetSweepHooks lifted;
+  lifted.wide_lookup = [&](const ProgramSet& subset) -> std::optional<bool> {
+    std::lock_guard<std::mutex> lock(mutex);
+    auto it = decided.find(subset.ToMask());
+    if (it != decided.end()) return it->second;
+    return hooks->lookup ? hooks->lookup(subset.ToMask()) : std::nullopt;
+  };
+  lifted.wide_store = [&](const ProgramSet& subset, bool robust) {
+    std::lock_guard<std::mutex> lock(mutex);
+    if (decided.emplace(subset.ToMask(), robust).second && hooks->store) {
+      hooks->store(subset.ToMask(), robust);
+    }
+  };
+  return AnalyzeSubsetsCoreGuided(detector, method, pool, &lifted);
 }
 
 }  // namespace

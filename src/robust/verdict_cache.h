@@ -8,26 +8,24 @@
 // so a subset's graph — and hence its verdict — is unchanged while all
 // members keep their revisions). A cached verdict therefore stays valid
 // across arbitrary workload mutations that leave the fingerprint unchanged:
-// after adding a program to an n-program workload, all 2^n - 1 previously
-// swept subsets hit the cache and only the masks containing the new program
-// reach the detector.
+// after adding a program to an n-program workload, every previously decided
+// subset hits the cache and only subsets containing the new program reach
+// the detector.
 //
 // One key type serves every caller: the 128-bit WideFingerprint. A
 // WideFingerprinter is snapshotted from the session's (name, revision)
 // state once per request; hashing a ProgramSet is then one mix per member
-// bit, with no string materialization on the hot path. The full-set check,
-// the exhaustive sweep (which lifts its uint32_t masks with
-// ProgramSet::FromMask) and the core-guided search all hash through it, so
-// they share one key space: a verdict any of them computed answers the
-// others. The fingerprint depends on the member *identities* (name +
-// revision), not their bit positions, so cached verdicts survive index
-// shifts from unrelated removals.
+// bit, with no string materialization on the hot path. The full-set check
+// and the core-guided subset search both hash through it, so they share one
+// key space: a verdict either of them computed answers the other. The
+// fingerprint depends on the member *identities* (name + revision), not
+// their bit positions, so cached verdicts survive index shifts from
+// unrelated removals.
 //
 // Internally synchronized: the core-guided search invokes its verdict-cache
 // hooks from thread-pool workers (see SubsetSweepHooks::wide_lookup), so
-// Lookup/Store take an internal mutex. The check and the exhaustive sweep
-// run under the session lock and simply pay one uncontended lock
-// acquisition.
+// Lookup/Store take an internal mutex. The check runs under the session
+// lock and simply pays one uncontended lock acquisition.
 
 #ifndef MVRC_ROBUST_VERDICT_CACHE_H_
 #define MVRC_ROBUST_VERDICT_CACHE_H_

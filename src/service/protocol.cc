@@ -243,7 +243,7 @@ Json HandleSubsets(SessionManager& manager, const Json& request) {
   if (session == nullptr) return error;
   std::optional<Method> method = ParseMethod(request.GetString("method"));
   if (!method.has_value()) return ErrorResponse("unknown method (expected type1 or type2)");
-  std::vector<std::string> names;  // snapshotted atomically with the sweep
+  std::vector<std::string> names;  // snapshotted atomically with the search
   Result<SubsetReport> result = session->Subsets(*method, &names);
   if (!result.ok()) return ErrorResponse(result.error());
   const SubsetReport& report = result.value();
@@ -252,34 +252,25 @@ Json HandleSubsets(SessionManager& manager, const Json& request) {
     for (int i : indices) members.Append(Json::Str(names.at(i)));
     return members;
   };
-  // Maximal subsets render from whichever representation the regime filled:
-  // wide sets for core-guided reports, masks for exhaustive ones (identical
-  // output where both exist — the vectors share their sort order).
   Json maximal = Json::Array();
-  if (!report.maximal_sets.empty()) {
-    for (const ProgramSet& set : report.maximal_sets) maximal.Append(name_members(set.ToIndices()));
-  } else {
-    for (uint32_t mask : report.maximal_masks) {
-      std::vector<int> indices;
-      for (int i = 0; i < report.num_programs; ++i) {
-        if ((mask >> i) & 1) indices.push_back(i);
-      }
-      maximal.Append(name_members(indices));
-    }
-  }
+  for (const ProgramSet& set : report.maximal_sets) maximal.Append(name_members(set.ToIndices()));
+  // The response shape follows the program count, not the engine (one
+  // engine answers every count): through kMaxSubsetPrograms the verdict
+  // list is materialized, and the response is the per-mask shape — the
+  // robust-subset count and the maximal sets. Past it, the lattice shape
+  // names the cores and the detector work instead, and omits the count
+  // rather than report a wrong 0.
+  const bool per_mask = report.num_programs <= kMaxSubsetPrograms;
   Json response = OkResponse();
   response.Set("session", Json::Str(session->name()));
   response.Set("num_programs", Json::Int(report.num_programs));
-  response.Set("search", Json::Str(report.from_core_search ? "core_guided" : "exhaustive"));
-  // The exhaustive count exists only where the verdict list is materialized
-  // (always for exhaustive sweeps, and for core-guided runs in the
-  // exhaustive range); wide lattices omit it rather than report a wrong 0.
-  if (!report.from_core_search || report.num_programs <= kMaxSubsetPrograms) {
+  response.Set("search", Json::Str(per_mask ? "exhaustive" : "core_guided"));
+  if (per_mask) {
     response.Set("num_robust_subsets",
                  Json::Int(static_cast<int64_t>(report.robust_masks.size())));
   }
   response.Set("maximal", std::move(maximal));
-  if (report.from_core_search) {
+  if (!per_mask) {
     Json cores = Json::Array();
     for (const ProgramSet& core : report.cores) cores.Append(name_members(core.ToIndices()));
     response.Set("num_cores", Json::Int(static_cast<int64_t>(report.cores.size())));

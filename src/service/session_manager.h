@@ -3,7 +3,7 @@
 //
 // Sharding keeps name -> session resolution contention-light under many
 // concurrent clients: a lookup locks only the shard its name hashes to, and
-// the heavy work (cell recomputation, subset sweeps) runs outside any shard
+// the heavy work (cell recomputation, subset searches) runs outside any shard
 // lock under the target session's own mutex, fanned across the shared
 // ThreadPool. Sessions are handed out as shared_ptr so a Drop cannot
 // invalidate a request in flight.

@@ -519,39 +519,26 @@ Result<SubsetReport> WorkloadSession::Subsets(Method method, std::vector<std::st
     for (const Entry& entry : entries_) names->push_back(entry.program.name());
   }
 
-  // Both regimes run against the memoized MaskedDetector, so repeated subset
-  // requests (and re-checks after mutations, where the verdict cache
-  // answers the untouched subsets) skip both graph copies and the detector
-  // precomputation. Both key their verdicts through one fingerprinter
-  // snapshot, in the key space Check uses: exhaustive-range sessions take
-  // the sweep (bit-identical oracle), whose uint32_t-mask hooks run on this
-  // thread and lift each mask to a ProgramSet; larger ones take the
-  // core-guided search, whose wide hooks run on pool workers and so touch
-  // only the internally synchronized VerdictCache — never stats_ — with the
-  // search's own counters merged afterwards under the session lock.
-  // Sessions beyond both regimes get the program-count error without
-  // building anything.
+  // The core-guided search runs against the memoized MaskedDetector, so
+  // repeated subset requests (and re-checks after mutations, where the
+  // verdict cache answers the untouched subsets) skip both graph copies and
+  // the detector precomputation. Its verdicts are keyed through one
+  // fingerprinter snapshot, in the key space Check uses, so a checked full
+  // set answers the search's first candidate and a fully cached request
+  // costs one lookup per query the search would make. The hooks run on pool
+  // workers and so touch only the internally synchronized VerdictCache —
+  // never stats_ — with the search's own counters merged afterwards under
+  // the session lock. Sessions past the search's range get the
+  // program-count error without building anything.
   const int n = static_cast<int>(entries_.size());
   Result<SubsetReport> report = [&]() -> Result<SubsetReport> {
     if (!CoreSearchProgramCountOk(n)) {
       return Result<SubsetReport>::Error(
-          "subset analysis supports at most " + std::to_string(kMaxCoreSearchPrograms) +
-          " programs (got " + std::to_string(n) + "): the exhaustive sweep covers 1.." +
-          std::to_string(kMaxSubsetPrograms) + ", the core-guided search up to " +
-          std::to_string(kMaxCoreSearchPrograms));
+          "subset analysis supports 1.." + std::to_string(kMaxCoreSearchPrograms) +
+          " programs (got " + std::to_string(n) + ")");
     }
     const WideFingerprinter fingerprinter = WideFingerprinterLocked(method);
     SubsetSweepHooks hooks;
-    if (SubsetProgramCountOk(n)) {
-      hooks.lookup = [this, n, &fingerprinter](uint32_t mask) {
-        return verdict_cache_.Lookup(fingerprinter.Of(ProgramSet::FromMask(mask, n)));
-      };
-      hooks.store = [this, n, &fingerprinter](uint32_t mask, bool robust) {
-        ++stats_.detector_runs;
-        verdict_cache_.Store(fingerprinter.Of(ProgramSet::FromMask(mask, n)), robust);
-      };
-      return AnalyzeSubsetsOnDetector(CachedDetectorLocked(), method, pool_, &hooks);
-    }
     hooks.wide_lookup = [this, &fingerprinter](const ProgramSet& subset) {
       return verdict_cache_.Lookup(fingerprinter.Of(subset));
     };

@@ -15,8 +15,8 @@
 // bit-identical to a from-scratch BuildSummaryGraph over the same programs
 // (asserted by tests/service_test.cc after every mutation).
 //
-// Robustness verdicts — of the full set and of every subset either subset
-// regime evaluates — are memoized in one VerdictCache under one key type:
+// Robustness verdicts — of the full set and of every subset the subset
+// search evaluates — are memoized in one VerdictCache under one key type:
 // a 128-bit WideFingerprint of the analysis settings (granularity, FK
 // usage, isolation level), the method, and each member's (name, revision).
 // A revision only advances when a mutation actually changed one of the
@@ -25,12 +25,12 @@
 // change them and incremental re-checks skip straight to the subsets
 // touching the changed program. Every verdict comes from one memoized
 // MaskedDetector over the materialized graph: Check queries it with the
-// full set, and the subset analyses that follow reuse it.
+// full set, and the subset search that follows reuses it.
 //
 // Thread safety: public methods lock an internal mutex, so a session may be
 // shared across server threads. The optional ThreadPool (borrowed, not
 // owned — typically the SessionManager's) parallelizes cell recomputation
-// and the subset sweep; pass nullptr for fully serial operation.
+// and the subset search; pass nullptr for fully serial operation.
 
 #ifndef MVRC_SERVICE_WORKLOAD_SESSION_H_
 #define MVRC_SERVICE_WORKLOAD_SESSION_H_
@@ -197,16 +197,15 @@ class WorkloadSession {
   /// — whether an earlier Check or a subset analysis stored it.
   CheckResult Check(Method method = Method::kTypeII);
 
-  /// Subset analysis over the current programs, in the regime the program
-  /// count selects: the exhaustive sweep through kMaxSubsetPrograms (the
-  /// report is identical to AnalyzeSubsets(Programs(), settings(), method)),
-  /// the core-guided search (robust/core_search.h) through
-  /// kMaxCoreSearchPrograms — same maximal sets, lattice representation
-  /// (SubsetReport::cores / maximal_sets) — and an error above that. Both
-  /// regimes run on the detector Check uses and memoize every subset verdict
-  /// in the verdict cache under the same wide fingerprints as Check, so a
+  /// Subset analysis over the current programs with the core-guided search
+  /// (robust/core_search.h), at every program count through
+  /// kMaxCoreSearchPrograms, and an error above that. Through
+  /// kMaxSubsetPrograms the report also lists every robust subset as a mask
+  /// and equals AnalyzeSubsets(Programs(), settings(), method). The search
+  /// runs on the detector Check uses and memoizes every subset verdict in
+  /// the verdict cache under the same wide fingerprints as Check, so a
   /// subset whose members' fingerprints are cached — the full set after a
-  /// Check included — skips the detector in either regime. When `names` is
+  /// Check included — skips the detector. When `names` is
   /// non-null it receives the member program names in mask-bit order,
   /// snapshotted atomically with the analysis — a caller reading names
   /// separately could race a concurrent mutation and mislabel masks.
@@ -268,7 +267,7 @@ class WorkloadSession {
   // that touches cells must call this.
   void InvalidateGraphLocked();
   // Snapshot fingerprinter over the current (name, revision) state: the one
-  // verdict-cache key of Check and of both subset regimes' hooks.
+  // verdict-cache key of Check and of the subset search's hooks.
   WideFingerprinter WideFingerprinterLocked(Method method) const;
   std::vector<std::pair<int, int>> LtpRangesLocked() const;
   void SyncCacheStatsLocked();

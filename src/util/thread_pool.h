@@ -54,13 +54,13 @@ class ThreadPool {
   /// ParallelFor with a worker slot: fn(slot, index) where `slot` is stable
   /// within one pool task and ranges over [0, min(num_threads, count)).
   /// At most one item runs per slot at a time, so callers can keep mutable
-  /// per-slot state (the masked subset sweep reuses one DetectorScratch per
-  /// slot) without locking.
+  /// per-slot state (the core-guided subset search reuses one
+  /// DetectorScratch per slot) without locking.
   void ParallelForWorkers(int64_t count, const std::function<void(int, int64_t)>& fn);
 
   /// Grain-chunked ParallelFor: workers claim half-open ranges
   /// [begin, begin + grain) instead of single indices, so fine-grained
-  /// loops (summary-graph rows, subset-sweep levels) pay one atomic claim
+  /// loops (summary-graph rows) pay one atomic claim
   /// and one std::function dispatch per `grain` items instead of per item.
   /// Ranges are claimed in ascending order; grain < 1 is clamped to 1, so
   /// grain 1 degrades to the unchunked dynamic schedule.

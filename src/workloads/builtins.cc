@@ -12,8 +12,8 @@ std::optional<Workload> MakeBuiltinWorkload(const std::string& name) {
   if (name == "tpcc") return MakeTpcc();
   if (name == "auction") return MakeAuction();
   // auction<N>, N >= 1: the Auction(n) scaling family (2n programs) — the
-  // protocol's route to workloads past the exhaustive-sweep range, where
-  // `subsets` switches to the core-guided search.
+  // protocol's route to workloads past the 20-program per-mask range, where
+  // `subsets` answers in the lattice shape.
   if (name.size() > 7 && name.compare(0, 7, "auction") == 0) {
     int n = 0;
     for (size_t i = 7; i < name.size(); ++i) {

@@ -1,5 +1,10 @@
 #include "btp/program.h"
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "btp/unfold.h"
@@ -106,6 +111,39 @@ TEST_F(BtpTest, LtpDebugString) {
   std::vector<Ltp> unfolded = UnfoldAtMost2(empty);
   ASSERT_EQ(unfolded.size(), 2u);
   EXPECT_EQ(unfolded[1].ToDebugString(), "E2 = <empty>");
+}
+
+// A program without Finish() is read through its default linear structure.
+// Reading must not write: pool workers unfold the same shared program at
+// once (bench_isolation_matrix fans its cells out this way), so four
+// threads released together onto one fresh linear program must all see the
+// same single LTP. The TSan CI job runs this suite.
+using BtpConcurrencyTest = BtpTest;
+
+TEST_F(BtpConcurrencyTest, FourThreadsUnfoldOneFreshLinearProgram) {
+  constexpr int kThreads = 4;
+  for (int round = 0; round < 50; ++round) {
+    Btp program("P");
+    for (int i = 1; i <= 6; ++i) {
+      program.AddStatement(Sel("q" + std::to_string(i), i % 2 == 0 ? parent_ : child_));
+    }
+    std::atomic<int> ready{0};
+    std::vector<std::string> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) {
+        }
+        std::vector<Ltp> ltps = UnfoldAtMost2(program);
+        seen[t] = ltps.size() == 1 && program.IsLinear() ? ltps[0].ToDebugString() : "?";
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(seen[t], "P = q1; q2; q3; q4; q5; q6") << "round " << round << " thread " << t;
+    }
+  }
 }
 
 }  // namespace

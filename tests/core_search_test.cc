@@ -1,10 +1,11 @@
-// Differential test of the core-guided subset search against the exhaustive
-// sweep oracle: on randomized (seeded) and builtin workloads within the
-// exhaustive range, AnalyzeSubsetsCoreGuided must reproduce AnalyzeSubsets'
-// verdicts bit-for-bit — robust_masks, maximal_masks, and IsRobustSubset
-// answers — under both the MVRC and the lock-based-RC isolation policies,
-// and its cores must be exactly the minimal non-robust subsets a brute
-// force over the exhaustive verdicts finds. Beyond the exhaustive range,
+// Differential test of the core-guided subset search against the per-mask
+// sweep oracle (tests/support/subset_oracle.h): on randomized (seeded) and
+// builtin workloads of at most kMaxSubsetPrograms programs,
+// AnalyzeSubsetsCoreGuided must reproduce the oracle's verdicts
+// bit-for-bit — robust_masks, maximal_masks, and IsRobustSubset answers —
+// under both the MVRC and the lock-based-RC isolation policies, and its
+// cores must be exactly the minimal non-robust subsets a brute force over
+// the oracle's verdicts finds. Beyond the exhaustive range,
 // where no oracle exists, the lattice is checked against the detector
 // directly: cores are non-robust and minimal, maximal sets are robust and
 // maximal, and sampled subsets answer from the lattice exactly as the
@@ -12,7 +13,9 @@
 // its parity with uint32_t masks on the MaskedDetector, witnesses included.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <random>
 #include <set>
@@ -34,6 +37,7 @@
 #include "workloads/auction.h"
 #include "workloads/smallbank.h"
 #include "support/random_workload.h"
+#include "support/subset_oracle.h"
 
 namespace mvrc {
 namespace {
@@ -191,9 +195,9 @@ TEST(MaskedDetectorWideMaskTest, WideAndNarrowEncodingsAgreeIncludingWitnesses) 
   }
 }
 
-// --- Core-guided vs exhaustive, within the exhaustive range.
+// --- Core-guided vs the per-mask oracle sweep, within its range.
 
-// Brute-force minimal non-robust subsets from the exhaustive verdict list:
+// Brute-force minimal non-robust subsets from the oracle's verdict list:
 // non-robust masks all of whose delete-one submasks are robust (the empty
 // set counts as robust).
 std::vector<uint32_t> BruteForceCoreMasks(const std::set<uint32_t>& robust, int n) {
@@ -218,8 +222,7 @@ void ExpectCoreGuidedMatchesExhaustive(const std::vector<Btp>& programs,
   GraphUnderTest t = Build(programs, settings);
   MaskedDetector detector(t.graph, t.ltp_range, settings.policy());
 
-  Result<SubsetReport> exhaustive = AnalyzeSubsetsOnDetector(detector, method);
-  ASSERT_TRUE(exhaustive.ok()) << context;
+  const SubsetReport exhaustive = oracle::SweepSubsets(detector, method);
   CoreSearchStats stats;
   Result<SubsetReport> result =
       AnalyzeSubsetsCoreGuided(detector, method, nullptr, nullptr, &stats);
@@ -228,16 +231,16 @@ void ExpectCoreGuidedMatchesExhaustive(const std::vector<Btp>& programs,
 
   // Bit-identical verdicts and maximal sets.
   EXPECT_TRUE(report.from_core_search) << context;
-  EXPECT_EQ(report.robust_masks, exhaustive.value().robust_masks) << context;
-  EXPECT_EQ(report.maximal_masks, exhaustive.value().maximal_masks) << context;
+  EXPECT_EQ(report.robust_masks, exhaustive.robust_masks) << context;
+  EXPECT_EQ(report.maximal_masks, exhaustive.maximal_masks) << context;
   ASSERT_EQ(report.maximal_sets.size(), report.maximal_masks.size()) << context;
   for (size_t i = 0; i < report.maximal_sets.size(); ++i) {
     EXPECT_EQ(report.maximal_sets[i].ToMask(), report.maximal_masks[i]) << context;
   }
 
   // The cores are exactly the minimal non-robust subsets.
-  const std::set<uint32_t> robust(exhaustive.value().robust_masks.begin(),
-                                  exhaustive.value().robust_masks.end());
+  const std::set<uint32_t> robust(exhaustive.robust_masks.begin(),
+                                  exhaustive.robust_masks.end());
   const int n = static_cast<int>(programs.size());
   std::vector<uint32_t> core_masks;
   for (const ProgramSet& core : report.cores) core_masks.push_back(core.ToMask());
@@ -311,13 +314,14 @@ TEST(CoreSearchBuiltinTest, MatchesExhaustiveOnSmallBankAndAuction) {
   }
 }
 
-// --- Entry-point parity: TryAnalyzeSubsetsCoreGuided builds the same graph
-// pipeline as TryAnalyzeSubsets.
+// --- Entry-point parity: TryAnalyzeSubsetsCoreGuided and AnalyzeSubsets
+// build the same graph pipeline and agree with the oracle sweep.
 
 TEST(CoreSearchEntryPointTest, TryAnalyzeMatchesSweepAndCountsQueries) {
   Workload workload = MakeAuctionN(3);
   const AnalysisSettings settings = AnalysisSettings::AttrDepFk();
-  SubsetReport exhaustive = AnalyzeSubsets(workload.programs, settings, Method::kTypeII);
+  const SubsetReport exhaustive =
+      oracle::SweepSubsets(workload.programs, settings, Method::kTypeII);
   CoreSearchStats stats;
   Result<SubsetReport> result = TryAnalyzeSubsetsCoreGuided(workload.programs, settings,
                                                             Method::kTypeII, nullptr, &stats);
@@ -325,6 +329,68 @@ TEST(CoreSearchEntryPointTest, TryAnalyzeMatchesSweepAndCountsQueries) {
   EXPECT_EQ(result.value().robust_masks, exhaustive.robust_masks);
   EXPECT_EQ(result.value().maximal_masks, exhaustive.maximal_masks);
   EXPECT_GT(stats.detector_queries, 0);
+
+  SubsetReport per_mask = AnalyzeSubsets(workload.programs, settings, Method::kTypeII);
+  EXPECT_TRUE(per_mask.from_core_search);
+  EXPECT_EQ(per_mask.robust_masks, exhaustive.robust_masks);
+  EXPECT_EQ(per_mask.maximal_masks, exhaustive.maximal_masks);
+  EXPECT_EQ(per_mask.cores, result.value().cores);
+  EXPECT_EQ(per_mask.detector_queries, stats.detector_queries);
+}
+
+// --- The narrow hooks of the per-mask entry points, lifted onto the wide
+// pair: consulted before the detector, fed once per evaluated mask, and
+// never called concurrently even though the search runs them on workers.
+
+TEST(CoreSearchEntryPointTest, NarrowHooksAreLiftedSerializedAndFedOncePerMask) {
+  Workload workload = MakeAuctionN(4);  // 8 programs
+  const AnalysisSettings settings = AnalysisSettings::AttrDep();
+  GraphUnderTest t = Build(workload.programs, settings);
+  MaskedDetector detector(t.graph, t.ltp_range, settings.policy());
+  const SubsetReport exhaustive = oracle::SweepSubsets(detector, Method::kTypeII);
+
+  std::map<uint32_t, bool> stored;
+  int duplicate_stores = 0;
+  std::atomic<int> in_flight{0};
+  std::atomic<int> overlaps{0};
+  SubsetSweepHooks hooks;
+  hooks.lookup = [&](uint32_t mask) -> std::optional<bool> {
+    if (++in_flight > 1) ++overlaps;
+    std::optional<bool> verdict;
+    auto it = stored.find(mask);
+    if (it != stored.end()) verdict = it->second;
+    --in_flight;
+    return verdict;
+  };
+  hooks.store = [&](uint32_t mask, bool robust) {
+    if (++in_flight > 1) ++overlaps;
+    if (!stored.emplace(mask, robust).second) ++duplicate_stores;
+    --in_flight;
+  };
+
+  ThreadPool pool(4);
+  Result<SubsetReport> cold = AnalyzeSubsetsOnDetector(detector, Method::kTypeII, &pool, &hooks);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(cold.value().robust_masks, exhaustive.robust_masks);
+  EXPECT_EQ(cold.value().maximal_masks, exhaustive.maximal_masks);
+  EXPECT_FALSE(stored.empty());
+  EXPECT_LE(static_cast<int64_t>(stored.size()), cold.value().detector_queries);
+  EXPECT_EQ(duplicate_stores, 0);
+  EXPECT_EQ(overlaps.load(), 0);
+  // Every stored verdict is the detector's.
+  DetectorScratch scratch = detector.MakeScratch();
+  for (const auto& [mask, robust] : stored) {
+    EXPECT_EQ(robust, detector.IsRobust(mask, Method::kTypeII, scratch)) << "mask=" << mask;
+  }
+
+  // A warm run answers every query from the narrow lookup.
+  const size_t stored_before = stored.size();
+  Result<SubsetReport> warm = AnalyzeSubsetsOnDetector(detector, Method::kTypeII, &pool, &hooks);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(warm.value().detector_queries, 0);
+  EXPECT_EQ(stored.size(), stored_before);
+  EXPECT_EQ(warm.value().robust_masks, exhaustive.robust_masks);
+  EXPECT_EQ(overlaps.load(), 0);
 }
 
 TEST(CoreSearchEntryPointTest, ProgramCountBoundsAreErrors) {

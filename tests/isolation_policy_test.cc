@@ -24,6 +24,7 @@
 #include "workloads/smallbank.h"
 #include "support/cycle_oracle.h"
 #include "support/random_workload.h"
+#include "support/subset_oracle.h"
 
 namespace mvrc {
 namespace {
@@ -298,8 +299,9 @@ TEST_P(IsolationPolicyRandomTest, RcMaskedParityAndMonotonicity) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IsolationPolicyRandomTest, ::testing::Range(0, 20));
 
-// Subset sweeps under RC flow through the same Proposition 5.2 machinery;
-// the sweep's robust masks must equal per-mask detector verdicts.
+// Subset analyses under RC flow through the same Proposition 5.2 machinery:
+// the entry point's report must equal the per-mask oracle sweep's, and
+// both must equal the per-mask detector verdicts.
 TEST(IsolationPolicyTest, RcSubsetSweepMatchesPerMaskVerdicts) {
   for (const Workload& workload : {MakeSmallBank(), MakeIsolationDemo()}) {
     const AnalysisSettings rc =
@@ -309,6 +311,9 @@ TEST(IsolationPolicyTest, RcSubsetSweepMatchesPerMaskVerdicts) {
     DetectorScratch scratch = detector.MakeScratch();
     Result<SubsetReport> report = TryAnalyzeSubsets(workload.programs, rc, Method::kTypeII);
     ASSERT_TRUE(report.ok());
+    const SubsetReport sweep = oracle::SweepSubsets(detector, Method::kTypeII);
+    EXPECT_EQ(report.value().robust_masks, sweep.robust_masks) << workload.name;
+    EXPECT_EQ(report.value().maximal_masks, sweep.maximal_masks) << workload.name;
     const uint32_t full = (uint32_t{1} << workload.programs.size()) - 1;
     for (uint32_t mask = 1; mask <= full; ++mask) {
       EXPECT_EQ(report.value().IsRobustSubset(mask),

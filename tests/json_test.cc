@@ -193,8 +193,26 @@ TEST(ProtocolTest, ScriptedSessionSmoke) {
   EXPECT_TRUE(removed.GetBool("ok"));
   EXPECT_EQ(removed.GetInt("num_programs"), 4);
 
-  // The 4-program verdict was already evaluated during the subset sweep, so
-  // the incremental re-check is a pure cache hit.
+  // Verdicts survive the removal: the first search confirmed the maximal
+  // robust set {Amalgamate, DepositChecking, TransactSavings} as a
+  // candidate, and that set is maximal in the 4-program workload too, so
+  // the second search finds its verdict in the cache.
+  const int64_t hits_before =
+      Json::Parse(Respond(manager, R"({"cmd":"stats","session":"sb"})"))
+          .value()
+          .GetInt("verdict_cache_hits");
+  Json resubsets =
+      Json::Parse(Respond(manager, R"({"cmd":"subsets","session":"sb"})")).value();
+  EXPECT_TRUE(resubsets.GetBool("ok"));
+  EXPECT_EQ(resubsets.GetInt("num_robust_subsets"), 7);  // subsets of {Am, DC, TS}
+  EXPECT_EQ(resubsets.Find("maximal")->size(), 1);
+  EXPECT_GT(Json::Parse(Respond(manager, R"({"cmd":"stats","session":"sb"})"))
+                .value()
+                .GetInt("verdict_cache_hits"),
+            hits_before);
+
+  // The search's first candidate is always the full set, so the
+  // incremental re-check is a pure cache hit.
   Json recheck = Json::Parse(Respond(manager, R"({"cmd":"check","session":"sb"})")).value();
   EXPECT_TRUE(recheck.GetBool("ok"));
   EXPECT_TRUE(recheck.GetBool("cached"));

@@ -26,6 +26,7 @@
 #include "workloads/tpcc.h"
 #include "support/cycle_oracle.h"
 #include "support/random_workload.h"
+#include "support/subset_oracle.h"
 
 namespace mvrc {
 namespace {
@@ -163,8 +164,9 @@ TEST(MaskedDetectorScratchTest, ScratchIsReusableAcrossMasksAndMethods) {
   }
 }
 
-// The sweep built on the detector must agree with a sweep-free full
-// enumeration, and per-worker scratches must not interfere under threads.
+// The oracle sweep on the detector must agree with a pruning-free full
+// enumeration, and the entry point — serial, and with per-worker scratches
+// under threads — must agree with the oracle sweep.
 
 TEST(MaskedDetectorSweepTest, SweepMatchesFullEnumerationSerialAndParallel) {
   Workload workload = MakeAuctionN(3);
@@ -178,16 +180,20 @@ TEST(MaskedDetectorSweepTest, SweepMatchesFullEnumerationSerialAndParallel) {
     if (detector.IsRobust(mask, Method::kTypeII, scratch)) expected.push_back(mask);
   }
 
+  const SubsetReport sweep = oracle::SweepSubsets(detector, Method::kTypeII);
+  EXPECT_EQ(sweep.robust_masks, expected);
+
   Result<SubsetReport> serial = AnalyzeSubsetsOnDetector(detector, Method::kTypeII);
   ASSERT_TRUE(serial.ok());
   EXPECT_EQ(serial.value().robust_masks, expected);
+  EXPECT_EQ(serial.value().maximal_masks, sweep.maximal_masks);
 
   ThreadPool pool(4);
   Result<SubsetReport> parallel =
       AnalyzeSubsetsOnDetector(detector, Method::kTypeII, &pool);
   ASSERT_TRUE(parallel.ok());
   EXPECT_EQ(parallel.value().robust_masks, expected);
-  EXPECT_EQ(parallel.value().maximal_masks, serial.value().maximal_masks);
+  EXPECT_EQ(parallel.value().maximal_masks, sweep.maximal_masks);
 }
 
 TEST(SubsetReportTest, IsRobustSubsetBinarySearchesSortedMasks) {

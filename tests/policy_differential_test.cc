@@ -22,6 +22,7 @@
 
 #include "btp/unfold.h"
 #include "robust/detector.h"
+#include "robust/masked_detector.h"
 #include "robust/subsets.h"
 #include "summary/build_summary.h"
 #include "util/bits.h"
@@ -30,6 +31,7 @@
 #include "workloads/tpcc.h"
 #include "support/cycle_oracle.h"
 #include "support/random_workload.h"
+#include "support/subset_oracle.h"
 
 namespace mvrc {
 namespace {
@@ -398,14 +400,18 @@ void ExpectPinnedToOracle(const std::vector<Btp>& programs, const AnalysisSettin
   EXPECT_EQ(oracle2.has_value(), oracle2n.has_value());
 }
 
-// Pins the subset sweep: every mask's verdict equals the oracle run on the
-// oracle-built induced subgraph. Only called for sweep-sized workloads.
+// Pins the subset analyses: every mask's verdict — in the entry point's
+// report and in the per-mask oracle sweep over the production detector —
+// equals the frozen oracle run on the oracle-built induced subgraph. Only
+// called for workloads of at most kMaxSubsetPrograms programs.
 void ExpectSweepPinnedToOracle(const std::vector<Btp>& programs,
                                const AnalysisSettings& settings, const std::string& context) {
   SCOPED_TRACE(context);
   GraphUnderTest t = Build(programs, settings);
   Result<SubsetReport> report = TryAnalyzeSubsets(programs, settings, Method::kTypeII);
   ASSERT_TRUE(report.ok());
+  const SubsetReport sweep = oracle::SweepSubsets(
+      MaskedDetector(t.graph, t.ltp_range, settings.policy()), Method::kTypeII);
   const uint32_t full = (uint32_t{1} << programs.size()) - 1;
   for (uint32_t mask = 1; mask <= full; ++mask) {
     std::vector<bool> keep(t.graph.num_programs(), false);
@@ -418,9 +424,9 @@ void ExpectSweepPinnedToOracle(const std::vector<Btp>& programs,
     SummaryGraph induced_oracle =
         OracleBuild(std::vector<Ltp>(induced.programs()), settings);
     ASSERT_EQ(induced.edges(), induced_oracle.edges()) << "mask=" << mask;
-    EXPECT_EQ(report.value().IsRobustSubset(mask),
-              !OracleFindTypeIICycle(induced_oracle).has_value())
-        << "mask=" << mask;
+    const bool robust = !OracleFindTypeIICycle(induced_oracle).has_value();
+    EXPECT_EQ(report.value().IsRobustSubset(mask), robust) << "mask=" << mask;
+    EXPECT_EQ(sweep.IsRobustSubset(mask), robust) << "mask=" << mask;
   }
 }
 

@@ -1,8 +1,9 @@
 // The incremental analysis service must be observably identical to
 // from-scratch analysis: after every add/remove/replace, a session's
 // materialized summary graph, its robustness verdicts, and its subset
-// reports equal what BuildSummaryGraph / IsRobust / AnalyzeSubsets compute
-// on the same program set from nothing. Also covers the verdict cache's
+// reports equal what BuildSummaryGraph / IsRobust / the per-mask oracle
+// sweep (tests/support/subset_oracle.h) compute on the same program set
+// from nothing. Also covers the verdict cache's
 // cross-mutation reuse, the SessionManager registry, and the oversized-
 // workload error path of TryAnalyzeSubsets.
 
@@ -31,6 +32,7 @@
 #include "service/workload_session.h"
 #include "sql/analyzer.h"
 #include "summary/build_summary.h"
+#include "support/subset_oracle.h"
 #include "util/json.h"
 #include "workloads/auction.h"
 #include "workloads/policy_demo.h"
@@ -70,7 +72,7 @@ void ExpectMatchesScratch(WorkloadSession& session, const std::string& context) 
 
   if (!programs.empty() && static_cast<int>(programs.size()) <= kMaxSubsetPrograms) {
     for (Method method : {Method::kTypeI, Method::kTypeII}) {
-      SubsetReport reference = AnalyzeSubsets(programs, settings, method);
+      SubsetReport reference = oracle::SweepSubsets(programs, settings, method);
       Result<SubsetReport> report = session.Subsets(method);
       ASSERT_TRUE(report.ok()) << report.error();
       EXPECT_EQ(report.value().num_programs, reference.num_programs);
@@ -325,6 +327,40 @@ TEST(WorkloadSessionTest, SubsetsBeyondCoreSearchCapIsARequestErrorNotAnAbort) {
             std::string::npos);
   // The non-subset paths keep working past both bounds.
   EXPECT_TRUE(session.Check().robust);
+}
+
+// Check stores the full set's verdict under the key the subset search uses,
+// so the search's first candidate — the full set — is a cache hit, and a
+// repeated request runs no detector query and costs a few dozen lookups,
+// not one per subset.
+TEST(WorkloadSessionTest, CheckThenSubsetsAnswersTheFullSetFromCache) {
+  Workload workload = MakeAuctionN(8);  // 16 programs
+  const AnalysisSettings settings = AnalysisSettings::AttrDep();
+  WorkloadSession unchecked("unchecked", settings);
+  ASSERT_TRUE(unchecked.LoadWorkload(workload).ok());
+  ASSERT_TRUE(unchecked.Subsets(Method::kTypeII).ok());
+  const int64_t unchecked_runs = unchecked.stats().detector_runs;
+
+  WorkloadSession session("checked", settings);
+  ASSERT_TRUE(session.LoadWorkload(workload).ok());
+  EXPECT_FALSE(session.Check().robust);
+  const SessionStats after_check = session.stats();
+  Result<SubsetReport> report = session.Subsets(Method::kTypeII);
+  ASSERT_TRUE(report.ok());
+  const SessionStats after_subsets = session.stats();
+  EXPECT_EQ(after_subsets.detector_runs - after_check.detector_runs, unchecked_runs - 1);
+  EXPECT_GE(after_subsets.verdict_cache_hits - after_check.verdict_cache_hits, 1);
+
+  Result<SubsetReport> cached = session.Subsets(Method::kTypeII);
+  ASSERT_TRUE(cached.ok());
+  const SessionStats after_cached = session.stats();
+  EXPECT_EQ(after_cached.detector_runs, after_subsets.detector_runs);
+  const int64_t lookups = (after_cached.verdict_cache_hits - after_subsets.verdict_cache_hits) +
+                          (after_cached.verdict_cache_misses - after_subsets.verdict_cache_misses);
+  EXPECT_GT(lookups, 0);
+  EXPECT_LT(lookups, (int64_t{1} << 16) / 100);
+  EXPECT_EQ(cached.value().robust_masks, report.value().robust_masks);
+  EXPECT_EQ(cached.value().cores, report.value().cores);
 }
 
 TEST(TryAnalyzeSubsetsTest, SharedPoolMatchesOwnedPool) {
@@ -886,6 +922,92 @@ TEST(ProtocolSnapshotTest, FailedFlushDegradesTheResponseNotTheSession) {
   ASSERT_TRUE(Request(manager, R"({"cmd":"snapshot","session":"s"})", options)
                   .GetBool("ok", false));
   EXPECT_EQ(store.ListKeys(), std::vector<std::string>{"s"});
+}
+
+// A response without its server-side timing, as the protocol dumps it.
+std::string WithoutElapsed(const Json& response) {
+  Json copy = Json::Object();
+  for (int i = 0; i < response.size(); ++i) {
+    if (response.key_at(i) != "elapsed_us") copy.Set(response.key_at(i), response.value_at(i));
+  }
+  return copy.Dump();
+}
+
+// Through kMaxSubsetPrograms the subsets response keeps the per-mask shape
+// byte for byte, whichever engine computes it. These strings are the
+// responses of the per-mask sweep the core-guided search replaced.
+TEST(ProtocolSubsetsTest, PerMaskResponsesMatchGoldenBytes) {
+  struct Golden {
+    std::string load;  // empty: the session is already loaded
+    std::string subsets;
+    std::string expected;
+  };
+  const std::vector<Golden> goldens = {
+      {R"({"cmd":"load_sql","session":"sb","builtin":"smallbank"})",
+       R"({"cmd":"subsets","session":"sb"})",
+       R"({"cmd":"subsets","ok":true,"session":"sb","num_programs":5,"search":"exhaustive","num_robust_subsets":10,"maximal":[["Balance","DepositChecking"],["Balance","TransactSavings"],["Amalgamate","DepositChecking","TransactSavings"]]})"},
+      {"",
+       R"({"cmd":"subsets","session":"sb","method":"type1"})",
+       R"({"cmd":"subsets","ok":true,"session":"sb","num_programs":5,"search":"exhaustive","num_robust_subsets":8,"maximal":[["Balance"],["Amalgamate","DepositChecking","TransactSavings"]]})"},
+      {R"({"cmd":"load_sql","session":"tpcc","builtin":"tpcc"})",
+       R"({"cmd":"subsets","session":"tpcc"})",
+       R"({"cmd":"subsets","ok":true,"session":"tpcc","num_programs":5,"search":"exhaustive","num_robust_subsets":9,"maximal":[["NewOrder","Payment"],["Payment","OrderStatus","StockLevel"]]})"},
+      {"",
+       R"({"cmd":"subsets","session":"tpcc","method":"type1"})",
+       R"({"cmd":"subsets","ok":true,"session":"tpcc","num_programs":5,"search":"exhaustive","num_robust_subsets":7,"maximal":[["NewOrder","Payment"],["Payment","StockLevel"],["OrderStatus","StockLevel"]]})"},
+      {R"({"cmd":"load_sql","session":"auction","builtin":"auction"})",
+       R"({"cmd":"subsets","session":"auction"})",
+       R"({"cmd":"subsets","ok":true,"session":"auction","num_programs":2,"search":"exhaustive","num_robust_subsets":3,"maximal":[["FindBids","PlaceBid"]]})"},
+      {R"({"cmd":"load_sql","session":"a8","builtin":"auction8","settings":"attr"})",
+       R"({"cmd":"subsets","session":"a8"})",
+       R"({"cmd":"subsets","ok":true,"session":"a8","num_programs":16,"search":"exhaustive","num_robust_subsets":255,"maximal":[["FindBids1","FindBids2","FindBids3","FindBids4","FindBids5","FindBids6","FindBids7","FindBids8"]]})"},
+      {R"({"cmd":"load_sql","session":"a8rc","builtin":"auction8","settings":"attr","isolation":"rc"})",
+       R"({"cmd":"subsets","session":"a8rc"})",
+       R"({"cmd":"subsets","ok":true,"session":"a8rc","num_programs":16,"search":"exhaustive","num_robust_subsets":255,"maximal":[["FindBids1","FindBids2","FindBids3","FindBids4","FindBids5","FindBids6","FindBids7","FindBids8"]]})"},
+  };
+  SessionManager manager;
+  for (const Golden& golden : goldens) {
+    if (!golden.load.empty()) {
+      ASSERT_TRUE(Request(manager, golden.load).GetBool("ok")) << golden.load;
+    }
+    EXPECT_EQ(WithoutElapsed(Request(manager, golden.subsets)), golden.expected)
+        << golden.subsets;
+  }
+}
+
+// An edge-preserving replace_program (FindBids2 with its parameter renamed)
+// keeps every revision, so the subsets request that follows is answered
+// from the verdict cache alone: the same bytes, zero detector queries, and
+// lookups far below the 2^16 subsets.
+TEST(ProtocolSubsetsTest, EdgePreservingReplaceRunsNoDetectorQueries) {
+  SessionManager manager;
+  Json load = Json::Object();
+  load.Set("cmd", Json::Str("load_sql"));
+  load.Set("session", Json::Str("a8"));
+  load.Set("settings", Json::Str("attr"));
+  load.Set("sql", Json::Str(AuctionNSql(8)));
+  ASSERT_TRUE(Request(manager, load.Dump()).GetBool("ok"));
+  const std::string subsets = R"({"cmd":"subsets","session":"a8"})";
+  const std::string before = WithoutElapsed(Request(manager, subsets));
+  std::shared_ptr<WorkloadSession> session = manager.Find("a8");
+  ASSERT_NE(session, nullptr);
+  const SessionStats stats_before = session->stats();
+
+  Json replace = Json::Object();
+  replace.Set("cmd", Json::Str("replace_program"));
+  replace.Set("session", Json::Str("a8"));
+  replace.Set("sql", Json::Str("PROGRAM FindBids2(:X, :T):\n"
+                               "  UPDATE Buyer SET calls = calls + 1 WHERE id = :X;\n"
+                               "  SELECT bid FROM Bids2 WHERE bid >= :T;\n"
+                               "COMMIT;\n"));
+  ASSERT_TRUE(Request(manager, replace.Dump()).GetBool("ok"));
+  EXPECT_EQ(WithoutElapsed(Request(manager, subsets)), before);
+  const SessionStats stats_after = session->stats();
+  EXPECT_EQ(stats_after.detector_runs, stats_before.detector_runs);
+  EXPECT_EQ(stats_after.verdict_cache_misses, stats_before.verdict_cache_misses);
+  const int64_t lookups = stats_after.verdict_cache_hits - stats_before.verdict_cache_hits;
+  EXPECT_GT(lookups, 0);
+  EXPECT_LT(lookups, (int64_t{1} << 16) / 100);
 }
 
 }  // namespace

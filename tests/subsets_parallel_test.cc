@@ -1,7 +1,9 @@
-// The parallel subset-robustness engine must be observably identical to the
-// serial sweep: same robust_masks, same maximal_masks, for every workload,
-// setting, method and thread count. Also covers the parallel summary-graph
-// builder (identical edge lists) and the ThreadPool primitive itself.
+// The subset entry points must report the same lattice at every pool size:
+// for every workload, setting, method and thread count, the robust_masks and
+// maximal_masks of AnalyzeSubsets equal the per-mask oracle sweep's
+// (tests/support/subset_oracle.h), and the cores and maximal sets equal the
+// serial run's. Also covers the parallel summary-graph builder (identical
+// edge lists) and the ThreadPool primitive itself.
 
 #include <atomic>
 #include <cstdint>
@@ -13,6 +15,7 @@
 #include "btp/unfold.h"
 #include "robust/subsets.h"
 #include "summary/build_summary.h"
+#include "support/subset_oracle.h"
 #include "util/thread_pool.h"
 #include "workloads/auction.h"
 #include "workloads/smallbank.h"
@@ -26,8 +29,8 @@ std::vector<Workload> TestWorkloads() {
   workloads.push_back(MakeSmallBank());
   workloads.push_back(MakeTpcc());
   workloads.push_back(MakeAuction());
-  // 8 programs: large enough that the parallel sweep spans several levels
-  // with real fan-out.
+  // 8 programs: large enough that the parallel search fans out real
+  // candidate and chunk-probe batches.
   workloads.push_back(MakeAuctionN(4));
   return workloads;
 }
@@ -40,21 +43,23 @@ TEST(SubsetsParallelTest, MatchesSerialForAllThreadCounts) {
   for (const Workload& workload : TestWorkloads()) {
     for (const AnalysisSettings& settings : kAllSettings) {
       for (Method method : {Method::kTypeI, Method::kTypeII}) {
+        const std::string context = workload.name + " / " + settings.name() + " / " +
+                                    (method == Method::kTypeI ? "type-I" : "type-II");
+        const SubsetReport sweep = oracle::SweepSubsets(workload.programs, settings, method);
         SubsetReport serial = AnalyzeSubsets(workload.programs, settings, method);
         ASSERT_EQ(serial.num_threads, 1);
         for (int threads : {1, 2, 8}) {
           SubsetReport parallel =
               AnalyzeSubsets(workload.programs, settings.WithThreads(threads), method);
           EXPECT_EQ(parallel.num_threads, threads);
-          EXPECT_EQ(parallel.num_programs, serial.num_programs);
-          EXPECT_EQ(parallel.robust_masks, serial.robust_masks)
-              << workload.name << " / " << settings.name() << " / "
-              << (method == Method::kTypeI ? "type-I" : "type-II") << " / " << threads
-              << " threads";
-          EXPECT_EQ(parallel.maximal_masks, serial.maximal_masks)
-              << workload.name << " / " << settings.name() << " / "
-              << (method == Method::kTypeI ? "type-I" : "type-II") << " / " << threads
-              << " threads";
+          EXPECT_EQ(parallel.num_programs, sweep.num_programs);
+          EXPECT_EQ(parallel.robust_masks, sweep.robust_masks)
+              << context << " / " << threads << " threads";
+          EXPECT_EQ(parallel.maximal_masks, sweep.maximal_masks)
+              << context << " / " << threads << " threads";
+          EXPECT_EQ(parallel.cores, serial.cores) << context << " / " << threads << " threads";
+          EXPECT_EQ(parallel.maximal_sets, serial.maximal_sets)
+              << context << " / " << threads << " threads";
         }
       }
     }
@@ -68,7 +73,8 @@ TEST(SubsetsParallelTest, ZeroThreadsMeansHardwareConcurrency) {
       AnalyzeSubsets(workload.programs, settings, Method::kTypeII);
   EXPECT_EQ(report.num_threads, ThreadPool::ResolveThreadCount(0));
   EXPECT_EQ(report.robust_masks,
-            AnalyzeSubsets(workload.programs, AnalysisSettings::AttrDepFk(), Method::kTypeII)
+            oracle::SweepSubsets(workload.programs, AnalysisSettings::AttrDepFk(),
+                                 Method::kTypeII)
                 .robust_masks);
 }
 
