@@ -55,22 +55,20 @@ struct RunResult {
 };
 
 // From-scratch mutation re-check: rebuild + subset analysis on the mutated
-// set. Counting store-hooks measure the search's actual detector
+// set. The report's detector_queries count the search's actual detector
 // invocations, mirroring how the incremental side is measured.
 RunResult RunScratch(const std::vector<Btp>& mutated_programs,
                      const AnalysisSettings& settings) {
   RunResult result;
-  SubsetSweepHooks hooks;
-  hooks.store = [&result](uint32_t, bool) { ++result.detector_runs; };
   Stopwatch watch;
-  Result<SubsetReport> report =
-      TryAnalyzeSubsets(mutated_programs, settings, Method::kTypeII, nullptr, &hooks);
+  Result<SubsetReport> report = TryAnalyzeSubsets(mutated_programs, settings, Method::kTypeII);
   result.millis = watch.ElapsedMillis();
   if (!report.ok()) {
-    std::fprintf(stderr, "scratch sweep failed: %s\n", report.error().c_str());
+    std::fprintf(stderr, "scratch subset analysis failed: %s\n", report.error().c_str());
     std::exit(1);
   }
   result.report = std::move(report).value();
+  result.detector_runs = result.report.detector_queries;
   result.stmt_pairs = ScratchStmtPairs(mutated_programs);
   return result;
 }
@@ -121,7 +119,7 @@ int main(int argc, char** argv) {
     Workload workload = MakeAuctionN(n);
     const int programs = static_cast<int>(workload.programs.size());
 
-    // Warm session: load every program and sweep once (a deployed session
+    // Warm session: load every program and analyze subsets once (a deployed session
     // has answered at least one check before it is mutated).
     WorkloadSession session(workload.name, settings);
     if (!session.LoadWorkload(workload).ok()) {
@@ -129,7 +127,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (!session.Subsets(Method::kTypeII).ok()) {
-      std::fprintf(stderr, "warm sweep failed\n");
+      std::fprintf(stderr, "warm subset analysis failed\n");
       return 1;
     }
 

@@ -4,15 +4,15 @@
 // the 48-program Auction(24), which exercises the wide regime), every
 // granularity/FK setting, and both shipped policies (MVRC, lock-based RC),
 // it reports the full-set verdict and the subset analysis' robust-subset
-// count/rate — as a per-mask verdict list through kMaxSubsetPrograms and as
-// the core-guided lattice beyond it — and enforces three correctness
-// gates:
+// count/rate from the core-guided search — as a per-mask verdict list
+// through kMaxSubsetPrograms and as the lattice (cores + maximal sets)
+// beyond it — and enforces three correctness gates:
 //
 //   1. Monotonicity: every lock-based-RC schedule is MVRC-admissible, so
-//      every MVRC-robust subset must also be RC-robust — per mask on
-//      exhaustively swept cells, and per maximal MVRC-robust set on wide
-//      cells (sufficient: robustness is downward-closed, so the maximal
-//      sets dominate every MVRC-robust subset).
+//      every MVRC-robust subset must also be RC-robust — per maximal
+//      MVRC-robust set on every cell (sufficient: robustness is
+//      downward-closed, so the maximal sets dominate every MVRC-robust
+//      subset), and per mask where the verdict list is materialized.
 //   2. Separation: at least one (workload, setting) cell must differ
 //      between the two policies (IsolationDemo guarantees this: not robust
 //      under MVRC, robust under lock-based RC, on all four settings).
@@ -21,7 +21,7 @@
 //      isolation-independent).
 //
 // With --threads=T the cells themselves fan across one T-worker pool (each
-// cell runs its build and sweep serially inside its worker — the pool does
+// cell runs its build and search serially inside its worker — the pool does
 // not nest); gates and output are evaluated after the barrier in the fixed
 // cell order, so every verdict, lattice, and printed line is identical at
 // any thread count (only the timing fields vary).
@@ -45,6 +45,7 @@
 #include "robust/masked_detector.h"
 #include "robust/subsets.h"
 #include "summary/build_summary.h"
+#include "util/check.h"
 #include "util/json.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -66,12 +67,9 @@ struct CellResult {
   int num_edges = 0;
   int num_counterflow_edges = 0;
   double seconds = 0;
-  std::vector<uint32_t> robust_masks;    // exhaustive regime
-  std::vector<ProgramSet> cores;         // wide (core-guided) regime
-  std::vector<ProgramSet> maximal_sets;  // wide regime
-  int64_t detector_queries = 0;          // wide regime
-  bool swept = false;  // exhaustive verdict list materialized
-  bool wide = false;   // core-guided lattice materialized
+  // The core-guided subset analysis; robust_masks are materialized through
+  // kMaxSubsetPrograms programs.
+  SubsetReport subsets;
 };
 
 // One (workload, settings, policy) cell, fully self-contained so cells can
@@ -81,8 +79,8 @@ CellResult RunCell(const Workload& workload, const AnalysisSettings& settings,
                    ThreadPool* inner_pool) {
   CellResult cell;
   Stopwatch timer;
-  // One graph build serves both the full-set verdict and the subset sweep
-  // (the sweep only needs the per-BTP LTP ranges on top of it).
+  // One graph build serves both the full-set verdict and the subset search
+  // (the search only needs the per-BTP LTP ranges on top of it).
   std::vector<Ltp> all_ltps;
   std::vector<std::pair<int, int>> ltp_range;
   for (const Btp& program : workload.programs) {
@@ -98,28 +96,11 @@ CellResult RunCell(const Workload& workload, const AnalysisSettings& settings,
   cell.num_edges = graph.num_edges();
   cell.num_counterflow_edges = graph.num_counterflow_edges();
   cell.robust = RunCycleTest(graph, Method::kTypeII, settings.policy()).robust;
-  const int n = static_cast<int>(workload.programs.size());
-  if (SubsetProgramCountOk(n)) {
-    Result<SubsetReport> report = AnalyzeSubsetsOnGraph(graph, ltp_range, Method::kTypeII,
-                                                        inner_pool, nullptr, settings.policy());
-    if (report.ok()) {
-      cell.robust_masks = report.value().robust_masks;
-      cell.swept = true;
-    }
-  } else if (CoreSearchProgramCountOk(n)) {
-    // Past the exhaustive barrier the cell takes the core-guided search and
-    // reports the lattice (cores + maximal sets) instead of a verdict list.
-    MaskedDetector detector(graph, ltp_range, settings.policy());
-    CoreSearchStats stats;
-    Result<SubsetReport> report =
-        AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, inner_pool, nullptr, &stats);
-    if (report.ok()) {
-      cell.cores = std::move(report.value().cores);
-      cell.maximal_sets = std::move(report.value().maximal_sets);
-      cell.detector_queries = stats.detector_queries;
-      cell.wide = true;
-    }
-  }
+  MaskedDetector detector(graph, ltp_range, settings.policy());
+  Result<SubsetReport> report =
+      AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, inner_pool);
+  MVRC_CHECK_MSG(report.ok(), report.error().c_str());
+  cell.subsets = std::move(report).value();
   cell.seconds = timer.ElapsedSeconds();
   return cell;
 }
@@ -146,41 +127,28 @@ bool ReportPair(const Workload& workload, const AnalysisSettings& base, const Ce
                 base.name());
     return false;
   }
-  // Gate 1 (per mask).
-  if (mvrc.swept && rc.swept) {
-    SubsetReport rc_report;
-    rc_report.num_programs = static_cast<int>(workload.programs.size());
-    rc_report.robust_masks = rc.robust_masks;
-    for (uint32_t mask : mvrc.robust_masks) {
-      if (!rc_report.IsRobustSubset(mask)) {
-        std::printf("FAIL: %s / %s: mask %u MVRC-robust but not RC-robust\n",
-                    workload.name.c_str(), base.name(), mask);
-        return false;
-      }
+  // Gate 1 (lattice): every maximal MVRC-robust set must be RC-robust, which
+  // covers every MVRC-robust subset by downward closure. The RC lattice
+  // answers membership from its cores.
+  for (const ProgramSet& set : mvrc.subsets.maximal_sets) {
+    if (!rc.subsets.IsRobustSubset(set)) {
+      std::printf("FAIL: %s / %s: a maximal MVRC-robust set is not RC-robust\n",
+                  workload.name.c_str(), base.name());
+      return false;
     }
   }
-  // Gate 1 (wide): every maximal MVRC-robust set must be RC-robust, which
-  // covers every MVRC-robust subset by downward closure. The RC lattice
-  // answers membership from its cores alone.
-  if (mvrc.wide && rc.wide) {
-    SubsetReport rc_report;
-    rc_report.num_programs = static_cast<int>(workload.programs.size());
-    rc_report.cores = rc.cores;
-    rc_report.from_core_search = true;
-    for (const ProgramSet& set : mvrc.maximal_sets) {
-      if (!rc_report.IsRobustSubset(set)) {
-        std::printf("FAIL: %s / %s: a maximal MVRC-robust set is not RC-robust\n",
-                    workload.name.c_str(), base.name());
-        return false;
-      }
+  // Gate 1 (per mask), where the verdict list is materialized.
+  for (uint32_t mask : mvrc.subsets.robust_masks) {
+    if (!rc.subsets.IsRobustSubset(mask)) {
+      std::printf("FAIL: %s / %s: mask %u MVRC-robust but not RC-robust\n",
+                  workload.name.c_str(), base.name(), mask);
+      return false;
     }
   }
 
-  const bool differs =
-      mvrc.robust != rc.robust ||
-      (mvrc.swept && rc.swept && mvrc.robust_masks != rc.robust_masks) ||
-      (mvrc.wide && rc.wide &&
-       (mvrc.cores != rc.cores || mvrc.maximal_sets != rc.maximal_sets));
+  const bool per_mask = SubsetProgramCountOk(static_cast<int>(workload.programs.size()));
+  const bool differs = mvrc.robust != rc.robust || mvrc.subsets.cores != rc.subsets.cores ||
+                       mvrc.subsets.maximal_sets != rc.subsets.maximal_sets;
   cells_differing += differs ? 1 : 0;
 
   for (const auto& [policy_name, cell] :
@@ -194,18 +162,18 @@ bool ReportPair(const Workload& workload, const AnalysisSettings& base, const Ce
     record.Set("num_edges", Json::Int(cell->num_edges));
     record.Set("num_counterflow_edges", Json::Int(cell->num_counterflow_edges));
     record.Set("robust", Json::Bool(cell->robust));
-    record.Set("search", Json::Str(cell->wide ? "core_guided" : "exhaustive"));
-    if (cell->swept) {
-      record.Set("robust_subsets", Json::Int(static_cast<int64_t>(cell->robust_masks.size())));
+    record.Set("search", Json::Str(per_mask ? "exhaustive" : "core_guided"));
+    if (per_mask) {
+      const size_t robust_subsets = cell->subsets.robust_masks.size();
+      record.Set("robust_subsets", Json::Int(static_cast<int64_t>(robust_subsets)));
       record.Set("total_subsets", Json::Int(static_cast<int64_t>(full)));
       record.Set("robust_rate",
-                 Json::Number(full > 0 ? static_cast<double>(cell->robust_masks.size()) / full
-                                       : 0));
-    }
-    if (cell->wide) {
-      record.Set("cores_found", Json::Int(static_cast<int64_t>(cell->cores.size())));
-      record.Set("maximal_found", Json::Int(static_cast<int64_t>(cell->maximal_sets.size())));
-      record.Set("detector_queries", Json::Int(cell->detector_queries));
+                 Json::Number(full > 0 ? static_cast<double>(robust_subsets) / full : 0));
+    } else {
+      record.Set("cores_found", Json::Int(static_cast<int64_t>(cell->subsets.cores.size())));
+      record.Set("maximal_found",
+                 Json::Int(static_cast<int64_t>(cell->subsets.maximal_sets.size())));
+      record.Set("detector_queries", Json::Int(cell->subsets.detector_queries));
     }
     record.Set("seconds", Json::Number(cell->seconds));
     records.Append(std::move(record));
@@ -213,13 +181,13 @@ bool ReportPair(const Workload& workload, const AnalysisSettings& base, const Ce
 
   std::printf("%-14s %-16s mvrc: %-10s rc: %-10s", workload.name.c_str(), base.name(),
               mvrc.robust ? "robust" : "not robust", rc.robust ? "robust" : "not robust");
-  if (mvrc.swept && rc.swept) {
-    std::printf("  robust subsets %zu -> %zu of %u", mvrc.robust_masks.size(),
-                rc.robust_masks.size(), full);
-  }
-  if (mvrc.wide && rc.wide) {
-    std::printf("  cores %zu -> %zu, maximal %zu -> %zu", mvrc.cores.size(), rc.cores.size(),
-                mvrc.maximal_sets.size(), rc.maximal_sets.size());
+  if (per_mask) {
+    std::printf("  robust subsets %zu -> %zu of %u", mvrc.subsets.robust_masks.size(),
+                rc.subsets.robust_masks.size(), full);
+  } else {
+    std::printf("  cores %zu -> %zu, maximal %zu -> %zu", mvrc.subsets.cores.size(),
+                rc.subsets.cores.size(), mvrc.subsets.maximal_sets.size(),
+                rc.subsets.maximal_sets.size());
   }
   std::printf("%s\n", differs ? "  [differs]" : "");
   return true;

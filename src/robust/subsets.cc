@@ -20,7 +20,7 @@
 namespace mvrc {
 
 bool SubsetReport::IsRobustSubset(uint32_t mask) const {
-  if (robust_masks.empty() && from_core_search) {
+  if (num_programs > kMaxSubsetPrograms) {
     return IsRobustSubset(ProgramSet::FromMask(mask, num_programs));
   }
   return std::binary_search(robust_masks.begin(), robust_masks.end(), mask);
@@ -28,11 +28,9 @@ bool SubsetReport::IsRobustSubset(uint32_t mask) const {
 
 bool SubsetReport::IsRobustSubset(const ProgramSet& subset) const {
   MVRC_CHECK(subset.num_programs() == num_programs);
-  if (!from_core_search) return IsRobustSubset(subset.ToMask());
-  // Lattice answer: robust iff non-empty and above no core (Proposition
-  // 5.2's upward closure of non-robustness makes the cores decisive). The
-  // empty subset is excluded to match robust_masks, which lists only
-  // non-empty masks.
+  // Robust iff non-empty and above no core (Proposition 5.2's upward
+  // closure of non-robustness makes the cores decisive). The empty subset
+  // is excluded to match robust_masks, which lists only non-empty masks.
   if (subset.Empty()) return false;
   for (const ProgramSet& core : cores) {
     if (subset.ContainsAll(core)) return false;
@@ -76,13 +74,8 @@ std::string SubsetReport::DescribeSet(const ProgramSet& set,
 std::vector<std::string> SubsetReport::DescribeMaximal(
     const std::vector<std::string>& names) const {
   std::vector<std::string> out;
-  if (!maximal_sets.empty()) {
-    out.reserve(maximal_sets.size());
-    for (const ProgramSet& set : maximal_sets) out.push_back(DescribeSet(set, names));
-    return out;
-  }
-  out.reserve(maximal_masks.size());
-  for (uint32_t mask : maximal_masks) out.push_back(DescribeMask(mask, names));
+  out.reserve(maximal_sets.size());
+  for (const ProgramSet& set : maximal_sets) out.push_back(DescribeSet(set, names));
   return out;
 }
 

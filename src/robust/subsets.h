@@ -51,36 +51,34 @@ inline constexpr int kMaxSubsetPrograms = 20;
 constexpr bool SubsetProgramCountOk(int n) { return n >= 1 && n <= kMaxSubsetPrograms; }
 
 /// Result of deciding robustness for all non-empty subsets of a program
-/// set. Every report the library produces comes from the core-guided search
-/// (from_core_search is true): `cores` holds the minimal non-robust subsets
-/// and `maximal_sets` the maximal robust subsets — together they determine
-/// every verdict, since a subset is robust iff it is non-empty and contains
-/// no core (non-robustness is upward-closed, Proposition 5.2).
-/// robust_masks is additionally materialized when
-/// num_programs <= kMaxSubsetPrograms, and maximal_masks whenever the masks
-/// fit (num_programs <= 32). A report with only the mask fields filled and
-/// from_core_search false — what the test oracle's per-mask sweep returns —
-/// answers the same queries from its masks.
+/// set. `cores` holds the minimal non-robust subsets and `maximal_sets` the
+/// maximal robust subsets — together they determine every verdict, since a
+/// subset is robust iff it is non-empty and contains no core
+/// (non-robustness is upward-closed, Proposition 5.2). robust_masks is
+/// additionally materialized when num_programs <= kMaxSubsetPrograms, and
+/// maximal_masks whenever the masks fit (num_programs <= 32). Library
+/// reports come from the core-guided search (from_core_search is true); the
+/// test oracle's per-mask sweep fills the same fields from its masks.
 struct SubsetReport {
   int num_programs = 0;
   int num_threads = 1;                  // worker threads the search ran with
   std::vector<uint32_t> robust_masks;   // every robust subset, as a bitmask
   std::vector<uint32_t> maximal_masks;  // robust subsets maximal under inclusion
 
-  // Lattice representation (empty in mask-only reports). Both vectors are
-  // sorted by ProgramSet's numeric order, which coincides with the numeric
-  // order of the equivalent uint32_t masks when both encodings apply, so
-  // e.g. maximal_sets[i] and maximal_masks[i] name the same subset.
+  // Lattice representation. Both vectors are sorted by ProgramSet's numeric
+  // order, which coincides with the numeric order of the equivalent uint32_t
+  // masks when both encodings apply, so e.g. maximal_sets[i] and
+  // maximal_masks[i] name the same subset.
   std::vector<ProgramSet> cores;         // minimal non-robust subsets
   std::vector<ProgramSet> maximal_sets;  // maximal robust subsets
   bool from_core_search = false;
   int64_t detector_queries = 0;  // detector evaluations the search spent
 
-  /// True when the subset encoded by `mask` was found robust. Answered by
-  /// binary search over robust_masks when they were materialized (requires
-  /// the ascending sort every producer guarantees), and from the core lattice
-  /// otherwise; the two agree wherever both apply. The uint32_t form
-  /// requires num_programs <= 32 — wide reports take the ProgramSet form.
+  /// True when the subset encoded by `mask` / `subset` was found robust. The
+  /// uint32_t form binary-searches robust_masks (ascending, as every producer
+  /// sorts them) when num_programs <= kMaxSubsetPrograms and otherwise asks
+  /// the cores, as the ProgramSet form always does; it requires
+  /// num_programs <= 32.
   bool IsRobustSubset(uint32_t mask) const;
   bool IsRobustSubset(const ProgramSet& subset) const;
 
@@ -88,10 +86,8 @@ struct SubsetReport {
   /// display names. DescribeMask requires num_programs <= 32.
   std::string DescribeMask(uint32_t mask, const std::vector<std::string>& names) const;
   std::string DescribeSet(const ProgramSet& set, const std::vector<std::string>& names) const;
-  /// The maximal robust subsets, rendered from whichever representation the
-  /// report carries (identical output where both exist).
+  /// The maximal robust subsets and the minimal non-robust cores, rendered.
   std::vector<std::string> DescribeMaximal(const std::vector<std::string>& names) const;
-  /// The minimal non-robust cores, rendered; empty for mask-only reports.
   std::vector<std::string> DescribeCores(const std::vector<std::string>& names) const;
 };
 

@@ -455,6 +455,23 @@ void WorkloadSession::SyncCacheStatsLocked() {
   stats_.shapes_interned = interner_.num_shapes();
 }
 
+std::optional<bool> WorkloadSession::LatticeVerdictLocked(Method method) const {
+  const std::optional<RevisionLattice>& lattice = lattices_[static_cast<int>(method)];
+  if (!lattice.has_value() || entries_.empty()) return std::nullopt;
+  std::vector<int64_t> current;
+  current.reserve(entries_.size());
+  for (const Entry& entry : entries_) current.push_back(entry.revision);
+  std::sort(current.begin(), current.end());
+  if (!std::includes(lattice->members.begin(), lattice->members.end(), current.begin(),
+                     current.end())) {
+    return std::nullopt;
+  }
+  for (const std::vector<int64_t>& core : lattice->cores) {
+    if (std::includes(current.begin(), current.end(), core.begin(), core.end())) return false;
+  }
+  return true;
+}
+
 CheckResult WorkloadSession::Check(Method method) {
   TraceSpan span("session/check");
   Stopwatch timer;
@@ -481,6 +498,12 @@ CheckResult WorkloadSession::Check(Method method) {
   const ProgramSet full = ProgramSet::Full(static_cast<int>(entries_.size()));
   const WideFingerprint fingerprint = WideFingerprinterLocked(method).Of(full);
   std::optional<bool> cached = verdict_cache_.Lookup(fingerprint);
+  if (!cached.has_value()) {
+    // A lattice answer is stored under the full set's key too, so the next
+    // subset search finds its first candidate decided.
+    cached = LatticeVerdictLocked(method);
+    if (cached.has_value()) verdict_cache_.Store(fingerprint, *cached);
+  }
   if (cached.has_value()) {
     result.robust = *cached;
     result.from_cache = true;
@@ -549,6 +572,17 @@ Result<SubsetReport> WorkloadSession::Subsets(Method method, std::vector<std::st
     Result<SubsetReport> wide_report = AnalyzeSubsetsCoreGuided(
         CachedDetectorLocked(), method, pool_, &hooks, &search_stats);
     stats_.detector_runs += search_stats.detector_queries;
+    if (wide_report.ok()) {
+      RevisionLattice lattice;
+      for (const Entry& entry : entries_) lattice.members.push_back(entry.revision);
+      std::sort(lattice.members.begin(), lattice.members.end());
+      for (const ProgramSet& core : wide_report.value().cores) {
+        std::vector<int64_t>& revisions = lattice.cores.emplace_back();
+        for (int i : core.ToIndices()) revisions.push_back(entries_[i].revision);
+        std::sort(revisions.begin(), revisions.end());
+      }
+      lattices_[static_cast<int>(method)] = std::move(lattice);
+    }
     return wide_report;
   }();
   if (report.ok()) ++stats_.subset_sweeps;

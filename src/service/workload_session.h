@@ -25,7 +25,10 @@
 // change them and incremental re-checks skip straight to the subsets
 // touching the changed program. Every verdict comes from one memoized
 // MaskedDetector over the materialized graph: Check queries it with the
-// full set, and the subset search that follows reuses it.
+// full set, and the subset search that follows reuses it. A subset search
+// also leaves its minimal non-robust cores behind, in member revisions, so
+// a Check after removals answers any subset of the analysed set from them
+// (Proposition 5.2: a set is non-robust iff it contains a core).
 //
 // Thread safety: public methods lock an internal mutex, so a session may be
 // shared across server threads. The optional ThreadPool (borrowed, not
@@ -35,6 +38,7 @@
 #ifndef MVRC_SERVICE_WORKLOAD_SESSION_H_
 #define MVRC_SERVICE_WORKLOAD_SESSION_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -122,7 +126,9 @@ struct SessionReplayState {
 /// Outcome of a (possibly cached) full-set robustness check.
 struct CheckResult {
   bool robust = false;
-  bool from_cache = false;  // verdict served from the VerdictCache
+  // Verdict served without the detector: from the VerdictCache, or read off
+  // the core lattice of an earlier subset analysis covering the set.
+  bool from_cache = false;
   int num_programs = 0;
   int num_unfolded = 0;
   int num_edges = 0;
@@ -194,7 +200,9 @@ class WorkloadSession {
   /// the session's memoized MaskedDetector (built here if no earlier request
   /// built it, and reused by the Subsets call that typically follows),
   /// served from the verdict cache when the full set's fingerprint is known
-  /// — whether an earlier Check or a subset analysis stored it.
+  /// — whether an earlier Check or a subset analysis stored it — or else
+  /// from the cores of the last Subsets(method) when every current member
+  /// took part in it at its current revision (after removals, say).
   CheckResult Check(Method method = Method::kTypeII);
 
   /// Subset analysis over the current programs with the core-guided search
@@ -271,6 +279,9 @@ class WorkloadSession {
   WideFingerprinter WideFingerprinterLocked(Method method) const;
   std::vector<std::pair<int, int>> LtpRangesLocked() const;
   void SyncCacheStatsLocked();
+  // The current member set's verdict read off lattices_[method], or nullopt
+  // when some current member is not one that lattice covers.
+  std::optional<bool> LatticeVerdictLocked(Method method) const;
 
   const std::string name_;
   const AnalysisSettings settings_;
@@ -293,6 +304,16 @@ class WorkloadSession {
   // cache cannot answer.
   std::optional<MaskedDetector> detector_;
   VerdictCache verdict_cache_;
+  // The lattice the last successful Subsets per method found, indexed by
+  // Method, in member revisions. Revisions are unique within a session and
+  // a revision pins its program's edges to every other revision, so a
+  // current set whose revisions all lie in `members` has the verdict it had
+  // in that analysis: robust iff it contains no core.
+  struct RevisionLattice {
+    std::vector<int64_t> members;             // ascending
+    std::vector<std::vector<int64_t>> cores;  // each ascending
+  };
+  std::array<std::optional<RevisionLattice>, 2> lattices_;
   SessionStats stats_;
   // Replayable mutation history (see SessionReplayState); appended only
   // after a mutation commits, so the journal never records a failed op.

@@ -4,8 +4,8 @@
 // AnalyzeSubsetsCoreGuided must reproduce the oracle's verdicts
 // bit-for-bit — robust_masks, maximal_masks, and IsRobustSubset answers —
 // under both the MVRC and the lock-based-RC isolation policies, and its
-// cores must be exactly the minimal non-robust subsets a brute force over
-// the oracle's verdicts finds. Beyond the exhaustive range,
+// cores and maximal sets must be exactly those the oracle reads off its
+// verdicts. Beyond the exhaustive range,
 // where no oracle exists, the lattice is checked against the detector
 // directly: cores are non-robust and minimal, maximal sets are robust and
 // maximal, and sampled subsets answer from the lattice exactly as the
@@ -18,7 +18,6 @@
 #include <map>
 #include <optional>
 #include <random>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -197,25 +196,6 @@ TEST(MaskedDetectorWideMaskTest, WideAndNarrowEncodingsAgreeIncludingWitnesses) 
 
 // --- Core-guided vs the per-mask oracle sweep, within its range.
 
-// Brute-force minimal non-robust subsets from the oracle's verdict list:
-// non-robust masks all of whose delete-one submasks are robust (the empty
-// set counts as robust).
-std::vector<uint32_t> BruteForceCoreMasks(const std::set<uint32_t>& robust, int n) {
-  std::vector<uint32_t> cores;
-  const uint32_t full = (uint32_t{1} << n) - 1;
-  for (uint32_t mask = 1; mask <= full; ++mask) {
-    if (robust.count(mask) != 0) continue;
-    bool minimal = true;
-    for (int b = 0; b < n && minimal; ++b) {
-      const uint32_t sub = mask & ~(uint32_t{1} << b);
-      if (sub == mask) continue;
-      if (sub != 0 && robust.count(sub) == 0) minimal = false;
-    }
-    if (minimal) cores.push_back(mask);
-  }
-  return cores;
-}
-
 void ExpectCoreGuidedMatchesExhaustive(const std::vector<Btp>& programs,
                                        const AnalysisSettings& settings, Method method,
                                        const std::string& context) {
@@ -229,34 +209,24 @@ void ExpectCoreGuidedMatchesExhaustive(const std::vector<Btp>& programs,
   ASSERT_TRUE(result.ok()) << context;
   const SubsetReport& report = result.value();
 
-  // Bit-identical verdicts and maximal sets.
+  // Bit-identical verdicts, maximal sets and cores (the oracle's cores are
+  // the minimal non-robust subsets of its verdict list).
   EXPECT_TRUE(report.from_core_search) << context;
   EXPECT_EQ(report.robust_masks, exhaustive.robust_masks) << context;
   EXPECT_EQ(report.maximal_masks, exhaustive.maximal_masks) << context;
-  ASSERT_EQ(report.maximal_sets.size(), report.maximal_masks.size()) << context;
-  for (size_t i = 0; i < report.maximal_sets.size(); ++i) {
-    EXPECT_EQ(report.maximal_sets[i].ToMask(), report.maximal_masks[i]) << context;
-  }
+  EXPECT_EQ(report.maximal_sets, exhaustive.maximal_sets) << context;
+  EXPECT_EQ(report.cores, exhaustive.cores) << context;
 
-  // The cores are exactly the minimal non-robust subsets.
-  const std::set<uint32_t> robust(exhaustive.robust_masks.begin(),
-                                  exhaustive.robust_masks.end());
+  // Both IsRobustSubset overloads agree with the oracle on every mask: the
+  // uint32_t form reads robust_masks, the ProgramSet form the cores.
   const int n = static_cast<int>(programs.size());
-  std::vector<uint32_t> core_masks;
-  for (const ProgramSet& core : report.cores) core_masks.push_back(core.ToMask());
-  EXPECT_EQ(core_masks, BruteForceCoreMasks(robust, n)) << context;
-
-  // Both IsRobustSubset overloads agree with the oracle on every mask, and
-  // keep agreeing when only the lattice is available.
-  SubsetReport lattice_only = report;
-  lattice_only.robust_masks.clear();
   const uint32_t full = (uint32_t{1} << n) - 1;
   for (uint32_t mask = 0; mask <= full; ++mask) {
-    const bool expected = robust.count(mask) != 0;
+    const bool expected = std::binary_search(exhaustive.robust_masks.begin(),
+                                             exhaustive.robust_masks.end(), mask);
     EXPECT_EQ(report.IsRobustSubset(mask), expected) << context << " mask=" << mask;
     EXPECT_EQ(report.IsRobustSubset(ProgramSet::FromMask(mask, n)), expected)
         << context << " mask=" << mask;
-    EXPECT_EQ(lattice_only.IsRobustSubset(mask), expected) << context << " mask=" << mask;
   }
 
   // Accounting: the stats decompose the total query count (serial runs never

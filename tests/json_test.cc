@@ -193,26 +193,9 @@ TEST(ProtocolTest, ScriptedSessionSmoke) {
   EXPECT_TRUE(removed.GetBool("ok"));
   EXPECT_EQ(removed.GetInt("num_programs"), 4);
 
-  // Verdicts survive the removal: the first search confirmed the maximal
-  // robust set {Amalgamate, DepositChecking, TransactSavings} as a
-  // candidate, and that set is maximal in the 4-program workload too, so
-  // the second search finds its verdict in the cache.
-  const int64_t hits_before =
-      Json::Parse(Respond(manager, R"({"cmd":"stats","session":"sb"})"))
-          .value()
-          .GetInt("verdict_cache_hits");
-  Json resubsets =
-      Json::Parse(Respond(manager, R"({"cmd":"subsets","session":"sb"})")).value();
-  EXPECT_TRUE(resubsets.GetBool("ok"));
-  EXPECT_EQ(resubsets.GetInt("num_robust_subsets"), 7);  // subsets of {Am, DC, TS}
-  EXPECT_EQ(resubsets.Find("maximal")->size(), 1);
-  EXPECT_GT(Json::Parse(Respond(manager, R"({"cmd":"stats","session":"sb"})"))
-                .value()
-                .GetInt("verdict_cache_hits"),
-            hits_before);
-
-  // The search's first candidate is always the full set, so the
-  // incremental re-check is a pure cache hit.
+  // The subsets request left the session its minimal non-robust cores, and
+  // the 4-program set lies inside the set it analysed, so the incremental
+  // re-check is answered without the detector.
   Json recheck = Json::Parse(Respond(manager, R"({"cmd":"check","session":"sb"})")).value();
   EXPECT_TRUE(recheck.GetBool("ok"));
   EXPECT_TRUE(recheck.GetBool("cached"));
@@ -233,6 +216,38 @@ TEST(ProtocolTest, ScriptedSessionSmoke) {
   EXPECT_TRUE(dropped.GetBool("dropped"));
   EXPECT_EQ(Json::Parse(Respond(manager, R"({"cmd":"stats"})")).value().Find("sessions")->size(),
             0);
+}
+
+TEST(ProtocolTest, SubsetsAfterRemovalReusesVerdicts) {
+  SessionManager manager(2);
+  ASSERT_TRUE(Json::Parse(Respond(manager,
+                                  R"({"cmd":"load_sql","session":"sb","builtin":"smallbank"})"))
+                  .value()
+                  .GetBool("ok"));
+  Json subsets = Json::Parse(Respond(manager, R"({"cmd":"subsets","session":"sb"})")).value();
+  EXPECT_EQ(subsets.GetInt("num_robust_subsets"), 10);
+  ASSERT_TRUE(
+      Json::Parse(Respond(manager, R"({"cmd":"remove_program","session":"sb","name":"Balance"})"))
+          .value()
+          .GetBool("ok"));
+
+  // The first search confirmed the maximal robust set {Amalgamate,
+  // DepositChecking, TransactSavings} as a candidate; that set is maximal in
+  // the 4-program workload too, so the second search finds its verdict in
+  // the cache.
+  const int64_t hits_before =
+      Json::Parse(Respond(manager, R"({"cmd":"stats","session":"sb"})"))
+          .value()
+          .GetInt("verdict_cache_hits");
+  Json resubsets =
+      Json::Parse(Respond(manager, R"({"cmd":"subsets","session":"sb"})")).value();
+  EXPECT_TRUE(resubsets.GetBool("ok"));
+  EXPECT_EQ(resubsets.GetInt("num_robust_subsets"), 7);  // subsets of {Am, DC, TS}
+  EXPECT_EQ(resubsets.Find("maximal")->size(), 1);
+  EXPECT_GT(Json::Parse(Respond(manager, R"({"cmd":"stats","session":"sb"})"))
+                .value()
+                .GetInt("verdict_cache_hits"),
+            hits_before);
 }
 
 TEST(ProtocolTest, AddReplaceCounterexampleFlow) {

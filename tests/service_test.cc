@@ -181,6 +181,34 @@ TEST(WorkloadSessionTest, ReplaceWithEquivalentProgramKeepsCachedVerdicts) {
   ExpectMatchesScratch(session, "TPC-C after no-op replace");
 }
 
+// A subset analysis leaves its cores behind, so a Check after removals —
+// any subset of the analysed set — runs no detector query and still agrees
+// with a from-scratch verdict; a program added afterwards has a revision
+// the lattice never saw, and another method has a lattice of its own.
+TEST(WorkloadSessionTest, CheckAfterRemovalsIsReadOffTheSubsetLattice) {
+  Workload workload = MakeSmallBank();
+  const AnalysisSettings settings = AnalysisSettings::AttrDepFk();
+  WorkloadSession session(workload.name, settings);
+  ASSERT_TRUE(session.LoadWorkload(workload).ok());
+  ASSERT_TRUE(session.Subsets(Method::kTypeII).ok());
+  const int64_t runs = session.stats().detector_runs;
+
+  for (const std::string name : {"Balance", "WriteCheck", "Amalgamate", "DepositChecking"}) {
+    ASSERT_TRUE(session.RemoveProgram(name).ok());
+    SCOPED_TRACE("after removing " + name);
+    const CheckResult check = session.Check(Method::kTypeII);
+    EXPECT_TRUE(check.from_cache);
+    const SummaryGraph scratch = BuildSummaryGraph(UnfoldAtMost2(session.Programs()), settings);
+    EXPECT_EQ(check.robust, IsRobust(scratch, Method::kTypeII, settings.policy()));
+    EXPECT_EQ(session.stats().detector_runs, runs);
+  }
+  EXPECT_FALSE(session.Check(Method::kTypeI).from_cache);
+
+  ASSERT_TRUE(session.AddProgram(workload.programs[0]).ok());  // Amalgamate, new revision
+  EXPECT_FALSE(session.Check(Method::kTypeII).from_cache);
+  ExpectMatchesScratch(session, "SmallBank after removals and a re-add");
+}
+
 TEST(WorkloadSessionTest, AddInvalidatesOnlyMasksContainingTheNewProgram) {
   Workload workload = MakeAuctionN(4);  // 8 programs
   WorkloadSession session(workload.name, AnalysisSettings::AttrDepFk());

@@ -56,6 +56,21 @@ SubsetReport SweepSubsets(const MaskedDetector& detector, Method method) {
   }
   std::sort(report.robust_masks.begin(), report.robust_masks.end());
   std::sort(report.maximal_masks.begin(), report.maximal_masks.end());
+  for (uint32_t mask : report.maximal_masks) {
+    report.maximal_sets.push_back(ProgramSet::FromMask(mask, n));
+  }
+
+  // Cores = non-robust masks all of whose delete-one submasks are robust
+  // (the empty set counts as robust), found in ascending mask order.
+  for (uint32_t mask = 1; mask <= full; ++mask) {
+    if (known_robust[mask]) continue;
+    bool minimal = true;
+    for (int b = 0; b < n && minimal; ++b) {
+      const uint32_t sub = mask & ~(uint32_t{1} << b);
+      if (sub != mask && sub != 0 && !known_robust[sub]) minimal = false;
+    }
+    if (minimal) report.cores.push_back(ProgramSet::FromMask(mask, n));
+  }
   return report;
 }
 

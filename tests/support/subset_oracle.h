@@ -23,8 +23,9 @@
 namespace mvrc::oracle {
 
 /// Every subset's verdict from `detector`, as a SubsetReport with
-/// num_programs, robust_masks (ascending) and maximal_masks (ascending)
-/// filled; the lattice fields stay empty and from_core_search is false.
+/// num_programs, robust_masks, maximal_masks and the lattice read off them
+/// (cores, maximal_sets) filled, all ascending; from_core_search is false
+/// and detector_queries 0.
 /// Requires 1 <= detector.num_programs() <= kMaxSubsetPrograms.
 SubsetReport SweepSubsets(const MaskedDetector& detector, Method method);
 
