@@ -5,8 +5,9 @@
 // 1024) this times, under all four Figure 6 settings,
 //   1. the interned builder (statement-shape interning -> shape-pair verdict
 //      matrix -> LTP-shape cell-template replay -> CSR arena), and
-//   2. the legacy per-pair builder (SummaryEdgesBetween per LTP-pair cell,
-//      edge-by-edge insertion, adjacency finalize) — the seed's code path,
+//   2. the legacy per-pair builder (tests/support/build_oracle.h:
+//      SummaryEdgesBetween per LTP-pair cell, edge-by-edge insertion,
+//      adjacency finalize) — the seed's code path,
 // asserts the two graphs are bit-identical (edge arena, counterflow count
 // and per-node adjacency; exit 1 otherwise — CI runs this as the
 // interned-vs-legacy gate) and emits a machine-readable JSON record
@@ -18,7 +19,6 @@
 //
 // Flags:
 //   --programs=N          replicated BTPs per workload (default 1024)
-//   --threads=T           also time the interned build with a T-worker pool
 //   --json-out=PATH       where to write the JSON record (default
 //                         BENCH_build_throughput.json; "-" disables)
 //   --require-speedup=X   exit 1 unless the interned build is >= X times
@@ -44,16 +44,15 @@
 #include "summary/statement_interner.h"
 #include "util/json.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 #include "workloads/auction.h"
 #include "workloads/tpcc.h"
+#include "support/build_oracle.h"
 
 namespace mvrc {
 namespace {
 
 struct Options {
   int programs = 1024;
-  int threads = 1;
   std::string json_out = "BENCH_build_throughput.json";
   double require_speedup = 0.0;
   bool skip_tpcc = false;
@@ -103,7 +102,7 @@ struct WorkloadTotals {
 };
 
 bool BenchSetting(const std::string& name, const std::vector<Ltp>& ltps, int num_programs,
-                  const AnalysisSettings& settings, const Options& options, Json& records,
+                  const AnalysisSettings& settings, Json& records,
                   WorkloadTotals& totals) {
   // Warm-up build: first-touch page faults and allocator growth are paid
   // here, so the timed runs below compare the builders, not the kernel's
@@ -127,28 +126,16 @@ bool BenchSetting(const std::string& name, const std::vector<Ltp>& ltps, int num
     interned_seconds = std::min(interned_seconds, timer.ElapsedSeconds());
   }
 
-  double threaded_seconds = 0;
-  if (options.threads > 1) {
-    ThreadPool pool(options.threads);
-    Stopwatch threaded_timer;
-    SummaryGraph threaded = BuildSummaryGraph(ltps, settings, &pool);
-    threaded_seconds = threaded_timer.ElapsedSeconds();
-    if (!SameGraph(threaded, interned)) {
-      std::printf("FAIL: threaded interned build differs from serial\n");
-      return false;
-    }
-  }
-
   double legacy_seconds = 0;
   SummaryGraph legacy = [&] {
     Stopwatch timer;
-    SummaryGraph graph = BuildSummaryGraphLegacy(ltps, settings);
+    SummaryGraph graph = oracle::BuildSummaryGraphLegacy(ltps, settings);
     legacy_seconds = timer.ElapsedSeconds();
     return graph;
   }();
   {
     Stopwatch timer;
-    SummaryGraph again = BuildSummaryGraphLegacy(ltps, settings);
+    SummaryGraph again = oracle::BuildSummaryGraphLegacy(ltps, settings);
     legacy_seconds = std::min(legacy_seconds, timer.ElapsedSeconds());
   }
 
@@ -176,9 +163,6 @@ bool BenchSetting(const std::string& name, const std::vector<Ltp>& ltps, int num
       "  speedup:  %.1fx\n",
       interned_seconds, edges / interned_seconds, legacy_seconds, edges / legacy_seconds,
       legacy_seconds / interned_seconds);
-  if (options.threads > 1) {
-    std::printf("  threaded (%d workers): %.4fs\n", options.threads, threaded_seconds);
-  }
 
   Json record = Json::Object();
   record.Set("workload", Json::Str(name));
@@ -193,11 +177,6 @@ bool BenchSetting(const std::string& name, const std::vector<Ltp>& ltps, int num
   record.Set("legacy_seconds", Json::Number(legacy_seconds));
   record.Set("legacy_edges_per_sec", Json::Number(edges / legacy_seconds));
   record.Set("speedup", Json::Number(speedup));
-  if (options.threads > 1) {
-    record.Set("threads", Json::Int(options.threads));
-    record.Set("threaded_seconds", Json::Number(threaded_seconds));
-    record.Set("threaded_edges_per_sec", Json::Number(edges / threaded_seconds));
-  }
   records.Append(std::move(record));
   return true;
 }
@@ -215,8 +194,7 @@ bool BenchWorkload(const Workload& workload, const Options& options, Json& recor
   std::vector<Ltp> ltps = ReplicateLtps(workload, options.programs);
   WorkloadTotals workload_totals;
   for (const AnalysisSettings& settings : kAllSettings) {
-    if (!BenchSetting(name, ltps, options.programs, settings, options, records,
-                      workload_totals)) {
+    if (!BenchSetting(name, ltps, options.programs, settings, records, workload_totals)) {
       return false;
     }
   }
@@ -252,7 +230,7 @@ int Run(const Options& options) {
 
   doc.Set("workloads", std::move(records));
   doc.Set("overall_speedup", Json::Number(speedup));
-  return bench::FinishBenchJson(std::move(doc), ok, options.json_out, options.threads) ? 0 : 1;
+  return bench::FinishBenchJson(std::move(doc), ok, options.json_out) ? 0 : 1;
 }
 
 }  // namespace
@@ -271,8 +249,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--programs=", 0) == 0) {
       options.programs = std::atoi(arg.c_str() + 11);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      options.threads = std::atoi(arg.c_str() + 10);
     } else if (arg.rfind("--json-out=", 0) == 0) {
       options.json_out = arg.substr(11);
     } else if (arg.rfind("--require-speedup=", 0) == 0) {
@@ -281,7 +257,7 @@ int main(int argc, char** argv) {
       options.skip_tpcc = true;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--programs=N] [--threads=T] [--json-out=PATH|-] "
+                   "usage: %s [--programs=N] [--json-out=PATH|-] "
                    "[--require-speedup=X] [--skip-tpcc]\n",
                    argv[0]);
       return 2;

@@ -21,18 +21,10 @@
 // Flags:
 //   --pairs=N        Auction(N) size for the wide phase, 2N programs
 //                    (default 32 -> 64 programs; max 64 -> 128)
-//   --threads=T      sweep the wide search over pools of 2, 4, ... up to T
-//                    workers (powers of two), requiring every report to be
-//                    bit-identical to the serial one
 //   --samples=K      random subsets cross-checked against the detector in
 //                    the wide phase (default 512)
 //   --max-queries=Q  exit 1 when the wide search pays more than Q detector
 //                    queries (default 0: report only)
-//   --require-speedup=X
-//                    exit 1 unless the T-thread run is at least X times
-//                    faster than serial (default 0: report only — the gate
-//                    is meant for CI machines with real cores, not laptops
-//                    running on battery)
 //   --json-out=PATH  where to write the JSON record (default
 //                    BENCH_core_search.json; "-" disables the file)
 
@@ -47,7 +39,6 @@
 #include <vector>
 
 #include "bench_json.h"
-#include "btp/unfold.h"
 #include "robust/core_search.h"
 #include "robust/masked_detector.h"
 #include "robust/subsets.h"
@@ -55,7 +46,6 @@
 #include "support/subset_oracle.h"
 #include "util/json.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 #include "workloads/auction.h"
 #include "workloads/smallbank.h"
 #include "workloads/tpcc.h"
@@ -65,10 +55,8 @@ namespace {
 
 struct Options {
   int pairs = 32;
-  int threads = 1;
   int samples = 512;
   int64_t max_queries = 0;
-  double require_speedup = 0;
   std::string json_out = "BENCH_core_search.json";
 };
 
@@ -84,8 +72,8 @@ bool CheckEquivalence(const Workload& workload, const AnalysisSettings& settings
   const double exhaustive_seconds = exhaustive_timer.ElapsedSeconds();
   CoreSearchStats stats;
   Stopwatch guided_timer;
-  Result<SubsetReport> guided = TryAnalyzeSubsetsCoreGuided(
-      workload.programs, settings, Method::kTypeII, nullptr, &stats);
+  Result<SubsetReport> guided =
+      TryAnalyzeSubsetsCoreGuided(workload.programs, settings, Method::kTypeII, &stats);
   const double guided_seconds = guided_timer.ElapsedSeconds();
   if (!guided.ok()) {
     std::printf("FAIL: %s / %s: search errored (%s)\n", workload.name.c_str(),
@@ -135,22 +123,14 @@ bool CheckWide(const Options& options, Json& doc) {
   // programs are individually non-robust, so the lattice is non-trivial.
   const AnalysisSettings settings = AnalysisSettings::AttrDep();
 
-  // One detector shared by every timed run, so the sweep measures the search
-  // itself rather than unfolding and graph construction.
-  std::vector<Ltp> all_ltps;
-  std::vector<std::pair<int, int>> ltp_range;
-  for (const Btp& program : workload.programs) {
-    std::vector<Ltp> unfolded = UnfoldAtMost2(program);
-    ltp_range.push_back({static_cast<int>(all_ltps.size()),
-                         static_cast<int>(all_ltps.size() + unfolded.size())});
-    for (Ltp& ltp : unfolded) all_ltps.push_back(std::move(ltp));
-  }
-  SummaryGraph graph = BuildSummaryGraph(std::move(all_ltps), settings);
-  MaskedDetector detector(graph, ltp_range, settings.policy());
+  // One detector shared by every timed run, so the timing measures the
+  // search itself rather than unfolding and graph construction.
+  const ProgramsSummary summary = BuildProgramsSummary(workload.programs, settings);
+  MaskedDetector detector(summary.graph, summary.ltp_range, settings.policy());
   DetectorScratch scratch = detector.MakeScratch();
 
-  // Serial reference: best of kRepeats runs (the search is deterministic, so
-  // repeats only absorb scheduler noise).
+  // Best of kRepeats runs (the search is deterministic, so repeats only
+  // absorb scheduler noise).
   constexpr int kRepeats = 3;
   CoreSearchStats stats;
   Result<SubsetReport> result = Result<SubsetReport>::Error("wide phase never ran");
@@ -159,7 +139,7 @@ bool CheckWide(const Options& options, Json& doc) {
     CoreSearchStats run_stats;
     Stopwatch timer;
     Result<SubsetReport> run =
-        AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, nullptr, nullptr, &run_stats);
+        AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, nullptr, &run_stats);
     const double run_seconds = timer.ElapsedSeconds();
     if (!run.ok()) {
       std::printf("FAIL: wide search errored: %s\n", run.error().c_str());
@@ -171,64 +151,6 @@ bool CheckWide(const Options& options, Json& doc) {
   }
   const SubsetReport& report = result.value();
   const int n = report.num_programs;
-
-  // Threads sweep: powers of two up to --threads, each timed best-of-kRepeats
-  // against a fresh pool. Every parallel report must be bit-identical to the
-  // serial one (the lattice is canonical; tests pin this too — the bench
-  // gates it at benchmark scale).
-  Json threads_sweep = Json::Array();
-  double max_thread_seconds = seconds;
-  for (int t = 2; t <= options.threads; t *= 2) {
-    ThreadPool pool(t);
-    CoreSearchStats thread_stats;
-    double best = 0;
-    bool identical = true;
-    for (int r = 0; r < kRepeats; ++r) {
-      CoreSearchStats run_stats;
-      Stopwatch timer;
-      Result<SubsetReport> run =
-          AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, &pool, nullptr, &run_stats);
-      const double run_seconds = timer.ElapsedSeconds();
-      if (!run.ok() || run.value().cores != report.cores ||
-          run.value().maximal_sets != report.maximal_sets) {
-        identical = false;
-        break;
-      }
-      if (r == 0 || run_seconds < best) best = run_seconds;
-      thread_stats = run_stats;
-    }
-    if (!identical) {
-      std::printf("FAIL: %d-thread wide search differs from serial\n", t);
-      return false;
-    }
-    std::printf("  %2d threads: %.4fs (%.2fx), %lld queries, %d rounds, "
-                "%d fallback extractions\n",
-                t, best, best > 0 ? seconds / best : 0.0,
-                static_cast<long long>(thread_stats.detector_queries), thread_stats.rounds,
-                thread_stats.fallback_extractions);
-    Json entry = Json::Object();
-    entry.Set("threads", Json::Int(t));
-    entry.Set("seconds", Json::Number(best));
-    entry.Set("speedup", Json::Number(best > 0 ? seconds / best : 0.0));
-    entry.Set("detector_queries", Json::Int(thread_stats.detector_queries));
-    entry.Set("probe_queries", Json::Int(thread_stats.probe_queries));
-    entry.Set("rounds", Json::Int(thread_stats.rounds));
-    entry.Set("fallback_extractions", Json::Int(thread_stats.fallback_extractions));
-    threads_sweep.Append(std::move(entry));
-    max_thread_seconds = best;
-  }
-  const double speedup = max_thread_seconds > 0 ? seconds / max_thread_seconds : 0.0;
-  if (options.require_speedup > 0) {
-    if (options.threads < 2) {
-      std::printf("FAIL: --require-speedup needs --threads >= 2\n");
-      return false;
-    }
-    if (speedup < options.require_speedup) {
-      std::printf("FAIL: %.2fx speedup at %d threads below the required %.2fx\n", speedup,
-                  options.threads, options.require_speedup);
-      return false;
-    }
-  }
 
   // Every reported core is non-robust and minimal.
   for (const ProgramSet& core : report.cores) {
@@ -275,19 +197,13 @@ bool CheckWide(const Options& options, Json& doc) {
   // only reported as a ratio, never used for arithmetic gates.
   const double exhaustive_masks = std::ldexp(1.0, n) - 1.0;
   std::printf("%s / %s (wide): %d programs, %zu cores, %zu maximal\n"
-              "  detector queries: %lld (candidates %lld, probes %lld, shrink %lld) vs "
+              "  detector queries: %lld (candidates %lld, shrink %lld) vs "
               "2^%d-1 = %.3g masks exhaustive\n"
-              "  wall time: %.4fs serial",
+              "  wall time: %.4fs\n",
               workload.name.c_str(), settings.name(), n, report.cores.size(),
               report.maximal_sets.size(), static_cast<long long>(stats.detector_queries),
               static_cast<long long>(stats.candidate_queries),
-              static_cast<long long>(stats.probe_queries),
               static_cast<long long>(stats.shrink_queries), n, exhaustive_masks, seconds);
-  if (options.threads > 1) {
-    std::printf(", %.4fs (%.2fx) with %d workers", max_thread_seconds, speedup,
-                options.threads);
-  }
-  std::printf("\n");
   if (options.max_queries > 0 && stats.detector_queries > options.max_queries) {
     std::printf("FAIL: %lld detector queries above the required cap %lld\n",
                 static_cast<long long>(stats.detector_queries),
@@ -303,18 +219,12 @@ bool CheckWide(const Options& options, Json& doc) {
   wide.Set("maximal_found", Json::Int(static_cast<int64_t>(report.maximal_sets.size())));
   wide.Set("detector_queries", Json::Int(stats.detector_queries));
   wide.Set("candidate_queries", Json::Int(stats.candidate_queries));
-  wide.Set("probe_queries", Json::Int(stats.probe_queries));
   wide.Set("shrink_queries", Json::Int(stats.shrink_queries));
   wide.Set("rounds", Json::Int(stats.rounds));
   wide.Set("exhaustive_masks", Json::Number(exhaustive_masks));
   wide.Set("queries_vs_exhaustive", Json::Number(stats.detector_queries / exhaustive_masks));
   wide.Set("seconds", Json::Number(seconds));
   wide.Set("samples_checked", Json::Int(options.samples));
-  if (options.threads > 1) {
-    wide.Set("threads_sweep", std::move(threads_sweep));
-    wide.Set("speedup", Json::Number(speedup));
-    wide.Set("require_speedup", Json::Number(options.require_speedup));
-  }
   doc.Set("wide", std::move(wide));
   return true;
 }
@@ -340,7 +250,7 @@ int Run(const Options& options) {
 
   ok = ok && CheckWide(options, doc);
 
-  return bench::FinishBenchJson(std::move(doc), ok, options.json_out, options.threads) ? 0 : 1;
+  return bench::FinishBenchJson(std::move(doc), ok, options.json_out) ? 0 : 1;
 }
 
 }  // namespace
@@ -352,20 +262,16 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--pairs=", 0) == 0) {
       options.pairs = std::atoi(arg.c_str() + 8);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      options.threads = std::atoi(arg.c_str() + 10);
     } else if (arg.rfind("--samples=", 0) == 0) {
       options.samples = std::atoi(arg.c_str() + 10);
     } else if (arg.rfind("--max-queries=", 0) == 0) {
       options.max_queries = std::atoll(arg.c_str() + 14);
-    } else if (arg.rfind("--require-speedup=", 0) == 0) {
-      options.require_speedup = std::atof(arg.c_str() + 18);
     } else if (arg.rfind("--json-out=", 0) == 0) {
       options.json_out = arg.substr(11);
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--pairs=N] [--threads=T] [--samples=K] "
-                   "[--max-queries=Q] [--require-speedup=X] [--json-out=PATH|-]\n",
+                   "usage: %s [--pairs=N] [--samples=K] [--max-queries=Q] "
+                   "[--json-out=PATH|-]\n",
                    argv[0]);
       return 2;
     }

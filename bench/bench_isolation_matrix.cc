@@ -20,26 +20,17 @@
 //      counterflow edges (non-counterflow generation is
 //      isolation-independent).
 //
-// With --threads=T the cells themselves fan across one T-worker pool (each
-// cell runs its build and search serially inside its worker — the pool does
-// not nest); gates and output are evaluated after the barrier in the fixed
-// cell order, so every verdict, lattice, and printed line is identical at
-// any thread count (only the timing fields vary).
-//
 // Exit status 0 and "ok": true in the JSON record only when every gate
 // holds. Usage:
-//   bench_isolation_matrix [--threads=T] [--json-out=PATH|-]
+//   bench_isolation_matrix [--json-out=PATH|-]
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench_json.h"
-#include "btp/unfold.h"
 #include "robust/core_search.h"
 #include "robust/detector.h"
 #include "robust/masked_detector.h"
@@ -48,7 +39,6 @@
 #include "util/check.h"
 #include "util/json.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 #include "workloads/auction.h"
 #include "workloads/policy_demo.h"
 #include "workloads/smallbank.h"
@@ -58,7 +48,6 @@ namespace mvrc {
 namespace {
 
 struct Options {
-  int threads = 1;
   std::string json_out = "BENCH_isolation_matrix.json";
 };
 
@@ -72,33 +61,19 @@ struct CellResult {
   SubsetReport subsets;
 };
 
-// One (workload, settings, policy) cell, fully self-contained so cells can
-// run concurrently on pool workers: `inner_pool` must be null when the cell
-// itself runs on a worker (the pool does not nest).
-CellResult RunCell(const Workload& workload, const AnalysisSettings& settings,
-                   ThreadPool* inner_pool) {
+// One (workload, settings, policy) cell.
+CellResult RunCell(const Workload& workload, const AnalysisSettings& settings) {
   CellResult cell;
   Stopwatch timer;
   // One graph build serves both the full-set verdict and the subset search
   // (the search only needs the per-BTP LTP ranges on top of it).
-  std::vector<Ltp> all_ltps;
-  std::vector<std::pair<int, int>> ltp_range;
-  for (const Btp& program : workload.programs) {
-    std::vector<Ltp> unfolded = UnfoldAtMost2(program);
-    ltp_range.push_back({static_cast<int>(all_ltps.size()),
-                         static_cast<int>(all_ltps.size() + unfolded.size())});
-    for (Ltp& ltp : unfolded) all_ltps.push_back(std::move(ltp));
-  }
-  SummaryGraph graph =
-      BuildSummaryGraph(std::move(all_ltps), settings,
-                        inner_pool != nullptr && inner_pool->num_threads() > 1 ? inner_pool
-                                                                               : nullptr);
+  const ProgramsSummary summary = BuildProgramsSummary(workload.programs, settings);
+  const SummaryGraph& graph = summary.graph;
   cell.num_edges = graph.num_edges();
   cell.num_counterflow_edges = graph.num_counterflow_edges();
   cell.robust = RunCycleTest(graph, Method::kTypeII, settings.policy()).robust;
-  MaskedDetector detector(graph, ltp_range, settings.policy());
-  Result<SubsetReport> report =
-      AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, inner_pool);
+  MaskedDetector detector(graph, summary.ltp_range, settings.policy());
+  Result<SubsetReport> report = AnalyzeSubsetsCoreGuided(detector, Method::kTypeII);
   MVRC_CHECK_MSG(report.ok(), report.error().c_str());
   cell.subsets = std::move(report).value();
   cell.seconds = timer.ElapsedSeconds();
@@ -106,7 +81,7 @@ CellResult RunCell(const Workload& workload, const AnalysisSettings& settings,
 }
 
 // Gates + report for one (workload, base-setting) pair, on cells computed
-// beforehand. Runs on the main thread after the fan-out barrier.
+// beforehand.
 bool ReportPair(const Workload& workload, const AnalysisSettings& base, const CellResult& mvrc,
                 const CellResult& rc, Json& records, int& cells_differing) {
   const uint32_t full =
@@ -194,18 +169,11 @@ bool ReportPair(const Workload& workload, const AnalysisSettings& base, const Ce
 }
 
 int Run(const Options& options) {
-  std::unique_ptr<ThreadPool> pool;
-  if (options.threads != 1) {
-    pool = std::make_unique<ThreadPool>(ThreadPool::ResolveThreadCount(options.threads));
-  }
-
   Json doc = Json::Object();
   doc.Set("bench", Json::Str("isolation_matrix"));
 
-  // Flatten the matrix into independent cell jobs — (workload, setting,
-  // policy) triples — and fan them across the pool; each cell runs serially
-  // inside its worker (null inner pool: no nesting). Without a pool the same
-  // jobs run inline, with the pool reused inside each cell instead.
+  // Flatten the matrix into cell jobs — (workload, setting, policy)
+  // triples, the MVRC and RC cells of one pair side by side.
   const std::vector<Workload> workloads = {MakeSmallBank(), MakeTpcc(), MakeAuction(),
                                            MakeIsolationDemo(), MakeAuctionN(24)};
   const AnalysisSettings bases[] = {
@@ -226,21 +194,12 @@ int Run(const Options& options) {
       jobs.push_back({&workload, &base, base.WithIsolation(IsolationLevel::kRc)});
     }
   }
-  std::vector<CellResult> cells(jobs.size());
+  std::vector<CellResult> cells;
   Stopwatch wall;
-  if (pool != nullptr) {
-    pool->ParallelFor(static_cast<int64_t>(jobs.size()), [&](int64_t j) {
-      cells[j] = RunCell(*jobs[j].workload, jobs[j].settings, nullptr);
-    });
-  } else {
-    for (size_t j = 0; j < jobs.size(); ++j) {
-      cells[j] = RunCell(*jobs[j].workload, jobs[j].settings, nullptr);
-    }
-  }
+  for (const CellJob& job : jobs) cells.push_back(RunCell(*job.workload, job.settings));
   const double wall_seconds = wall.ElapsedSeconds();
 
-  // Gates and rendering run after the barrier, in job order — the output is
-  // identical at every --threads value.
+  // Gates and rendering run in job order.
   Json records = Json::Array();
   int cells_differing = 0;
   bool ok = true;
@@ -260,7 +219,7 @@ int Run(const Options& options) {
   doc.Set("cells_differing", Json::Int(cells_differing));
   doc.Set("cells_total", Json::Int(static_cast<int64_t>(jobs.size())));
   doc.Set("wall_seconds", Json::Number(wall_seconds));
-  return bench::FinishBenchJson(std::move(doc), ok, options.json_out, options.threads) ? 0 : 1;
+  return bench::FinishBenchJson(std::move(doc), ok, options.json_out) ? 0 : 1;
 }
 
 }  // namespace
@@ -270,12 +229,10 @@ int main(int argc, char** argv) {
   mvrc::Options options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--threads=", 0) == 0) {
-      options.threads = std::atoi(arg.c_str() + std::strlen("--threads="));
-    } else if (arg.rfind("--json-out=", 0) == 0) {
+    if (arg.rfind("--json-out=", 0) == 0) {
       options.json_out = arg.substr(std::strlen("--json-out="));
     } else {
-      std::fprintf(stderr, "usage: %s [--threads=T] [--json-out=PATH|-]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--json-out=PATH|-]\n", argv[0]);
       return 2;
     }
   }

@@ -1,6 +1,6 @@
 // Shared trailer for the BENCH_*.json records every bench emits: peak RSS,
 // the process-wide metrics snapshot (obs/metrics.h — build counters, latency
-// histograms, pool utilization accumulated while the bench ran), and the
+// histograms accumulated while the bench ran), and the
 // final ok verdict, printed to stdout and mirrored to --json-out. Keeping
 // the trailer in one place means every bench's JSON diffs the same way
 // across PRs and automatically gains any metric the library grows.
@@ -29,12 +29,10 @@ inline int64_t PeakRssBytes() {
 
 /// Stamps the shared trailer onto `doc`, prints the record, and writes it to
 /// `json_out` ("-" disables the file). Returns the final verdict: `ok`,
-/// downgraded to false when the file cannot be written. `threads` is the
-/// bench's configured worker count; hardware_concurrency is stamped
-/// alongside it so speedup numbers can be judged against the machine that
-/// produced them.
-inline bool FinishBenchJson(Json doc, bool ok, const std::string& json_out, int threads = 1) {
-  doc.Set("threads", Json::Int(threads));
+/// downgraded to false when the file cannot be written. hardware_concurrency
+/// is stamped so timings can be judged against the machine that produced
+/// them.
+inline bool FinishBenchJson(Json doc, bool ok, const std::string& json_out) {
   doc.Set("hardware_concurrency",
           Json::Int(static_cast<int64_t>(std::thread::hardware_concurrency())));
   doc.Set("peak_rss_bytes", Json::Int(PeakRssBytes()));

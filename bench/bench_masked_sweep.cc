@@ -12,14 +12,13 @@
 // asserts the two reports are bit-identical (exit 1 otherwise — CI runs
 // this as the masked-vs-oracle gate), checks that the production subset
 // engine (AnalyzeSubsetsOnGraph, the core-guided search) reports the same
-// robust masks serially and on a --threads pool, verifies the detector's
+// robust masks, verifies the detector's
 // allocation-free contract with a global operator-new counter (exit 1 when
 // an IsRobust call allocates), and emits a machine-readable JSON record
 // (BENCH_masked_sweep.json by default) so masks/sec is tracked across PRs.
 //
 // Flags:
 //   --pairs=N             Auction(N) size, 2N programs (default 8 -> 16)
-//   --threads=T           also time the production engine on a T-worker pool
 //   --json-out=PATH       where to write the JSON record (default
 //                         BENCH_masked_sweep.json; "-" disables the file)
 //   --require-speedup=X   exit 1 unless masked is >= X times faster than
@@ -28,9 +27,9 @@
 //   --skip-tpcc           bench the auction sweep only
 //   --max-overhead=X      also time the per-mask hot path with metrics
 //                         instrumentation disabled (SetMetricsEnabled) vs
-//                         enabled, and exit 1 when the relative overhead
-//                         exceeds X (e.g. 0.02 = 2%; default 0: measure and
-//                         report only)
+//                         enabled, and exit 1 when the median relative
+//                         overhead exceeds X (e.g. 0.02 = 2%; default 0:
+//                         measure and report only)
 
 #include <algorithm>
 #include <atomic>
@@ -43,7 +42,6 @@
 #include <vector>
 
 #include "bench_json.h"
-#include "btp/unfold.h"
 #include "obs/metrics.h"
 #include "robust/masked_detector.h"
 #include "robust/subsets.h"
@@ -52,7 +50,6 @@
 #include "support/subset_oracle.h"
 #include "util/json.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 #include "workloads/auction.h"
 #include "workloads/tpcc.h"
 
@@ -96,7 +93,6 @@ namespace {
 
 struct Options {
   int pairs = 8;
-  int threads = 1;
   std::string json_out = "BENCH_masked_sweep.json";
   double require_speedup = 0.0;
   bool skip_tpcc = false;
@@ -112,16 +108,9 @@ struct PreparedWorkload {
 };
 
 PreparedWorkload Prepare(const Workload& workload, const AnalysisSettings& settings) {
-  std::vector<Ltp> all_ltps;
-  std::vector<std::pair<int, int>> ltp_range;
-  for (const Btp& program : workload.programs) {
-    std::vector<Ltp> unfolded = UnfoldAtMost2(program);
-    ltp_range.push_back({static_cast<int>(all_ltps.size()),
-                         static_cast<int>(all_ltps.size() + unfolded.size())});
-    for (Ltp& ltp : unfolded) all_ltps.push_back(std::move(ltp));
-  }
+  ProgramsSummary summary = BuildProgramsSummary(workload.programs, settings);
   return {workload.name, settings.name(), static_cast<int>(workload.programs.size()),
-          BuildSummaryGraph(std::move(all_ltps), settings), std::move(ltp_range)};
+          std::move(summary.graph), std::move(summary.ltp_range)};
 }
 
 // The pre-masked-detector sweep: identical mask order and Proposition 5.2
@@ -170,8 +159,7 @@ struct WorkloadTotals {
 
 // Returns false on any correctness failure (report mismatch / allocation in
 // the hot path); appends one JSON record per (workload, settings).
-bool BenchSetting(const PreparedWorkload& w, const Options& options, Json& records,
-                  WorkloadTotals& totals) {
+bool BenchSetting(const PreparedWorkload& w, Json& records, WorkloadTotals& totals) {
   const uint32_t num_masks = (uint32_t{1} << w.num_programs) - 1;
   std::printf("%s / %s: %d programs, %d LTPs, %d edges, %u masks\n", w.name.c_str(),
               w.settings_name.c_str(), w.num_programs, w.graph.num_programs(),
@@ -186,24 +174,11 @@ bool BenchSetting(const PreparedWorkload& w, const Options& options, Json& recor
   const double masked_seconds = masked_timer.ElapsedSeconds();
   const int64_t masked_allocs = g_allocations.load(std::memory_order_relaxed) - allocs_before;
 
-  // The production engine, serially and on the optional pool, must report
-  // the masks the sweep found.
+  // The production engine must report the masks the sweep found.
   Result<SubsetReport> engine = AnalyzeSubsetsOnGraph(w.graph, w.ltp_range, Method::kTypeII);
   if (!engine.ok() || engine.value().robust_masks != masked.robust_masks) {
     std::printf("FAIL: AnalyzeSubsetsOnGraph differs from the masked sweep\n");
     return false;
-  }
-  double threaded_seconds = 0;
-  if (options.threads > 1) {
-    ThreadPool pool(options.threads);
-    Stopwatch threaded_timer;
-    Result<SubsetReport> threaded =
-        AnalyzeSubsetsOnGraph(w.graph, w.ltp_range, Method::kTypeII, &pool);
-    threaded_seconds = threaded_timer.ElapsedSeconds();
-    if (!threaded.ok() || threaded.value().robust_masks != masked.robust_masks) {
-      std::printf("FAIL: threaded AnalyzeSubsetsOnGraph differs from the masked sweep\n");
-      return false;
-    }
   }
 
   // Oracle sweep + report gate.
@@ -244,9 +219,6 @@ bool BenchSetting(const PreparedWorkload& w, const Options& options, Json& recor
       masked_seconds, num_masks / masked_seconds,
       static_cast<double>(masked_allocs) / num_masks, oracle_seconds,
       num_masks / oracle_seconds, speedup);
-  if (options.threads > 1) {
-    std::printf("  engine on %d workers: %.4fs\n", options.threads, threaded_seconds);
-  }
 
   Json record = Json::Object();
   record.Set("workload", Json::Str(w.name));
@@ -263,19 +235,18 @@ bool BenchSetting(const PreparedWorkload& w, const Options& options, Json& recor
   record.Set("oracle_seconds", Json::Number(oracle_seconds));
   record.Set("oracle_masks_per_sec", Json::Number(num_masks / oracle_seconds));
   record.Set("speedup", Json::Number(speedup));
-  if (options.threads > 1) {
-    record.Set("threads", Json::Int(options.threads));
-    record.Set("threaded_seconds", Json::Number(threaded_seconds));
-  }
   records.Append(std::move(record));
   return true;
 }
 
 // Metrics-overhead gate: times the same per-mask IsRobust hot loop with the
-// instrumentation kill switch off (baseline) and on (instrumented), min of
-// several repeats over a calibrated window so the comparison sits well above
-// timer and scheduler noise. Records both timings plus the relative overhead
-// in `doc`; fails only when --max-overhead is set and exceeded.
+// instrumentation kill switch off (baseline) and on (instrumented), over a
+// calibrated window so each pass sits well above timer noise. Off and on
+// passes alternate, one pair per repeat, so a shift in CPU speed between
+// repeats lands on both sides of a pair instead of reading as overhead; the
+// overhead is the median of the per-pair ratios. Records the best timings
+// plus that overhead in `doc`; fails only when --max-overhead is set and
+// exceeded.
 //
 // Measured under tuple dep — the setting whose queries pay a real cycle
 // test (~hundreds of ns), which is what the sweep's wall clock is made of.
@@ -308,21 +279,34 @@ bool BenchOverhead(const Options& options, Json& doc) {
 
   auto timed = [&](bool enabled) {
     SetMetricsEnabled(enabled);
-    double best = 1e100;
-    for (int repeat = 0; repeat < 5; ++repeat) {
-      Stopwatch timer;
-      for (int r = 0; r < reps; ++r) sweep_once();
-      best = std::min(best, timer.ElapsedSeconds());
-    }
-    return best;
+    Stopwatch timer;
+    for (int r = 0; r < reps; ++r) sweep_once();
+    return timer.ElapsedSeconds();
   };
-  const double baseline_seconds = timed(false);
-  const double instrumented_seconds = timed(true);
+  // Each pair's two passes swap order from one repeat to the next, so a
+  // steady drift within a pair favours neither side.
+  constexpr int kRepeats = 5;
+  double baseline_seconds = 1e100;
+  double instrumented_seconds = 1e100;
+  std::vector<double> ratios;
+  for (int repeat = 0; repeat < kRepeats; ++repeat) {
+    double off = 0, on = 0;
+    if (repeat % 2 == 0) {
+      off = timed(false);
+      on = timed(true);
+    } else {
+      on = timed(true);
+      off = timed(false);
+    }
+    baseline_seconds = std::min(baseline_seconds, off);
+    instrumented_seconds = std::min(instrumented_seconds, on);
+    ratios.push_back(off > 0 ? on / off : 1.0);
+  }
   SetMetricsEnabled(true);
-  const double overhead =
-      baseline_seconds > 0 ? instrumented_seconds / baseline_seconds - 1.0 : 0.0;
+  std::sort(ratios.begin(), ratios.end());
+  const double overhead = ratios[kRepeats / 2] - 1.0;
 
-  std::printf("metrics overhead: baseline %.4fs, instrumented %.4fs, %+.2f%% "
+  std::printf("metrics overhead: baseline %.4fs, instrumented %.4fs, median %+.2f%% "
               "(%d reps, sink %lld)\n",
               baseline_seconds, instrumented_seconds, overhead * 100, reps,
               static_cast<long long>(sink));
@@ -349,7 +333,7 @@ const AnalysisSettings kAllSettings[] = {
 bool BenchWorkload(const Workload& workload, const Options& options, Json& records) {
   WorkloadTotals totals;
   for (const AnalysisSettings& settings : kAllSettings) {
-    if (!BenchSetting(Prepare(workload, settings), options, records, totals)) return false;
+    if (!BenchSetting(Prepare(workload, settings), records, totals)) return false;
   }
   const double speedup =
       totals.masked_seconds > 0 ? totals.oracle_seconds / totals.masked_seconds : 0;
@@ -375,7 +359,7 @@ int Run(const Options& options) {
 
   doc.Set("workloads", std::move(records));
   ok = BenchOverhead(options, doc) && ok;
-  return bench::FinishBenchJson(std::move(doc), ok, options.json_out, options.threads) ? 0 : 1;
+  return bench::FinishBenchJson(std::move(doc), ok, options.json_out) ? 0 : 1;
 }
 
 }  // namespace
@@ -387,8 +371,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--pairs=", 0) == 0) {
       options.pairs = std::atoi(arg.c_str() + 8);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      options.threads = std::atoi(arg.c_str() + 10);
     } else if (arg.rfind("--json-out=", 0) == 0) {
       options.json_out = arg.substr(11);
     } else if (arg.rfind("--require-speedup=", 0) == 0) {
@@ -399,7 +381,7 @@ int main(int argc, char** argv) {
       options.max_overhead = std::atof(arg.c_str() + 15);
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--pairs=N] [--threads=T] [--json-out=PATH|-] "
+                   "usage: %s [--pairs=N] [--json-out=PATH|-] "
                    "[--require-speedup=X] [--skip-tpcc] [--max-overhead=X]\n",
                    argv[0]);
       return 2;

@@ -148,7 +148,7 @@ struct Options {
 };
 
 int RunBench(const Options& options) {
-  SessionManager manager(1);
+  SessionManager manager;
   RequestDispatcher dispatcher(manager, ProtocolOptions(), size_t{1} << 20);
   NetServer::Options server_options;
   server_options.port = 0;

@@ -4,10 +4,8 @@
 // destructions, and advances the timer wheel.
 //
 // Threading model: everything — accept, framing, request dispatch, response
-// flushing, timers — runs on the one thread calling RunOnce. Request
-// *handling* still fans out internally across the SessionManager's pool, so
-// multi-core machines parallelize the analysis, not the I/O. One reactor
-// thread comfortably serves thousands of mostly-idle NDJSON connections, and
+// flushing, timers — runs on the one thread calling RunOnce, and so does
+// the analysis each request triggers. One reactor thread comfortably serves thousands of mostly-idle NDJSON connections, and
 // a single dispatch thread is what makes cross-transport verdict parity
 // trivially deterministic (responses per connection are in request order;
 // sessions see a serial mutation stream).

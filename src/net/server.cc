@@ -77,7 +77,7 @@ uint16_t NetServer::port() const {
 
 int NetServer::Run(const volatile std::sig_atomic_t* stop) {
   // 100ms cap: the stop flag is re-checked at least that often even when the
-  // signal landed on a pool thread and did not interrupt epoll_wait.
+  // signal landed on another thread and did not interrupt epoll_wait.
   while (*stop == 0) loop_.RunOnce(100);
   Drain();
   return 0;

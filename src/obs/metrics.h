@@ -5,8 +5,8 @@
 // Fast-path design: every mutation (Counter::Add, Histogram::Record) is one
 // relaxed atomic RMW on a per-thread *stripe* — a cache-line-aligned slot
 // selected by a thread-local ordinal — so instrumented hot paths (the masked
-// detector's query counter, the thread pool's task accounting) never share a
-// contended line and never take a lock or allocate. Reads (Value /
+// detector's query counter, the server's per-request accounting) never share
+// a contended line and never take a lock or allocate. Reads (Value /
 // Snap / ToJson) merge the stripes; they are monotonic per stripe but not a
 // consistent cut across metrics, which is exactly what an operational
 // snapshot needs. A process-wide kill switch (SetMetricsEnabled) turns every
@@ -85,7 +85,7 @@ class Counter {
   obs_internal::StripedCell cells_[obs_internal::kStripes];
 };
 
-/// Last-written level (pool size, live sessions). Single cell: set/load only.
+/// Last-written level (live sessions, open connections). Single cell: set/load only.
 class Gauge {
  public:
   Gauge() = default;

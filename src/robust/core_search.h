@@ -36,29 +36,18 @@
 // thousands of queries where a per-mask sweep would need 2^64
 // (bench/bench_core_search.cc measures the ratio).
 //
-// Parallelism: each round runs in two pool-fanned phases orchestrated from
-// the calling thread (the ThreadPool does not support nesting). Phase A
-// tests every candidate's verdict concurrently; phase B extracts cores from
-// the non-robust candidates. When a round has fewer non-robust candidates
-// than worker slots — the common shape: round one always has exactly one —
-// phase B *chunks* each candidate into disjoint contiguous pieces and
-// probes them concurrently: a non-robust chunk yields a witness and shrinks
-// to a minimal core entirely within the chunk, so one candidate can surface
-// many cores per round instead of one. Chunks that all come back robust
-// fall back to whole-candidate witness extraction. Chunk cores are globally
-// minimal (minimality is intrinsic, not relative to the chunk), disjoint
-// chunks cannot duplicate each other, and every extracted core is new
-// (candidates contain no known core), so the loop invariants are untouched.
+// Each round tests every candidate first, then takes a witness from each
+// non-robust one and shrinks it to a core, all on the calling thread.
 //
 // The final report is *canonical*: at termination the core family provably
 // equals ALL minimal non-robust subsets (any missed one would sit inside a
 // confirmed robust complement, contradicting upward closure) and the
 // confirmed hitting sets are exactly the minimal hitting sets of that final
-// family — so cores and maximal_sets are independent of thread count,
-// chunking, and discovery order, and the parallel search is bit-identical
-// to the serial one. tests/core_search_test.cc pins this differentially
-// over random workloads under both the MVRC and lock-based-RC policies;
-// only the stats (query counts, rounds) may differ across configurations.
+// family — so cores and maximal_sets are independent of discovery order and
+// of the hooks' cache state. tests/core_search_test.cc pins this
+// differentially against the exhaustive per-mask sweep over random
+// workloads under both the MVRC and lock-based-RC policies; only the stats
+// (query counts, cache hits) depend on the hooks.
 
 #ifndef MVRC_ROBUST_CORE_SEARCH_H_
 #define MVRC_ROBUST_CORE_SEARCH_H_
@@ -74,7 +63,6 @@
 namespace mvrc {
 
 class MaskedDetector;
-class ThreadPool;
 
 /// Hard bound on the number of programs the core-guided search accepts.
 /// Subsets are ProgramSet wide masks (robust/program_set.h), so there is no
@@ -102,22 +90,19 @@ struct CoreSearchOptions {
 };
 
 /// Observability counters for one search run (all detector evaluations, by
-/// purpose). detector_queries = candidate + probe + shrink queries;
-/// witness_queries counts the Find*Cycle calls separately (they re-run a
-/// found cycle search to materialize the witness and are not IsRobust
-/// evaluations). Query counts depend on the pool's worker count (chunked
-/// extraction) and the hook state; only the report is canonical.
+/// purpose). detector_queries = candidate + shrink queries; witness_queries
+/// counts the Find*Cycle calls separately (they re-run a found cycle search
+/// to materialize the witness and are not IsRobust evaluations). Query
+/// counts depend on the hook state; only the report is canonical.
 struct CoreSearchStats {
   int64_t detector_queries = 0;
   int64_t candidate_queries = 0;  // hitting-set complement tests
-  int64_t probe_queries = 0;      // chunk probes during parallel core extraction
   int64_t shrink_queries = 0;     // greedy core-minimization tests
   int64_t witness_queries = 0;    // witness extractions on non-robust subsets
   int64_t cache_hits = 0;         // wide-hook verdicts served, any purpose
   int64_t cache_misses = 0;       // wide-hook lookups that reached the detector
   int64_t hook_hits = 0;          // candidate verdicts answered by the wide hooks
   int rounds = 0;                 // candidate-batch iterations
-  int fallback_extractions = 0;   // candidates whose chunks all probed robust
 };
 
 /// Core-guided analysis against a caller-owned MaskedDetector, producing the
@@ -128,27 +113,31 @@ struct CoreSearchStats {
 /// per-mask range check.
 /// `hooks` follow the SubsetSweepHooks contract: the search reads only the
 /// wide pair (wide_lookup/wide_store), which, when both are set, memoizes
-/// EVERY IsRobust evaluation — candidates, chunk probes, shrink tests — at
-/// any accepted program count, and is invoked from pool workers (must be
-/// thread-safe). The narrow pair is ignored here; the robust/subsets.h
-/// entry points lift it onto the wide pair. Errors: program count outside
+/// EVERY IsRobust evaluation — candidates and shrink tests — at any
+/// accepted program count, and is invoked only on the calling thread. The
+/// narrow pair is ignored here; the robust/subsets.h entry points lift it
+/// onto the wide pair. Errors: program count outside
 /// [1, kMaxCoreSearchPrograms], or the hitting-set family exceeding
 /// options.max_lattice_sets.
 Result<SubsetReport> AnalyzeSubsetsCoreGuided(const MaskedDetector& detector, Method method,
-                                              ThreadPool* pool = nullptr,
                                               const SubsetSweepHooks* hooks = nullptr,
                                               CoreSearchStats* stats = nullptr,
                                               const CoreSearchOptions& options = {});
 
+// perfbench/e2e_main.cc still passes SessionManager::pool() here; the
+// pointer is ignored.
+inline Result<SubsetReport> AnalyzeSubsetsCoreGuided(const MaskedDetector& detector,
+                                                     Method method, ThreadPool*) {
+  return AnalyzeSubsetsCoreGuided(detector, method);
+}
+
 /// Convenience entry point from programs, as TryAnalyzeSubsets but for every
-/// program count the search accepts:
-/// unfolds, builds the full summary graph under settings.policy(), and runs
-/// the core-guided search on a detector over it. A caller-provided pool is
-/// reused for graph construction and the search; otherwise
-/// settings.num_threads decides as in TryAnalyzeSubsets.
+/// program count the search accepts: unfolds, builds the full summary graph
+/// under `settings`, and runs the core-guided search on a detector over it
+/// under settings.policy().
 Result<SubsetReport> TryAnalyzeSubsetsCoreGuided(const std::vector<Btp>& programs,
                                                  const AnalysisSettings& settings,
-                                                 Method method, ThreadPool* pool = nullptr,
+                                                 Method method,
                                                  CoreSearchStats* stats = nullptr,
                                                  const CoreSearchOptions& options = {});
 

@@ -47,9 +47,7 @@
 // parity), so callers may mix them freely against one detector.
 //
 // Thread safety: a MaskedDetector is immutable after construction and may
-// be shared across threads; each thread needs its own DetectorScratch
-// (the core-guided search keeps one per ThreadPool worker slot for its
-// candidate and shrink fan-outs).
+// be shared across threads; each thread needs its own DetectorScratch.
 
 #ifndef MVRC_ROBUST_MASKED_DETECTOR_H_
 #define MVRC_ROBUST_MASKED_DETECTOR_H_

@@ -1,12 +1,10 @@
 #include "robust/report.h"
 
-#include <memory>
 #include <sstream>
 
 #include "btp/unfold.h"
 #include "robust/core_search.h"
 #include "summary/build_summary.h"
-#include "util/thread_pool.h"
 
 namespace mvrc {
 
@@ -65,26 +63,19 @@ Json WorkloadReport::ToJson() const {
 }
 
 WorkloadReport BuildReport(const Workload& workload, bool analyze_subsets,
-                           int num_threads, IsolationLevel isolation) {
+                           IsolationLevel isolation) {
   WorkloadReport report;
   report.workload_name = workload.name.empty() ? "(unnamed)" : workload.name;
   report.isolation = isolation;
   report.num_programs = static_cast<int>(workload.programs.size());
   report.num_unfolded = static_cast<int>(UnfoldAtMost2(workload.programs).size());
 
-  // One pool shared by all four graph builds (nullptr selects the serial
-  // path throughout).
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads != 1) {
-    pool = std::make_unique<ThreadPool>(ThreadPool::ResolveThreadCount(num_threads));
-  }
   for (AnalysisSettings settings :
-       {AnalysisSettings::TupleDep().WithThreads(num_threads).WithIsolation(isolation),
-        AnalysisSettings::AttrDep().WithThreads(num_threads).WithIsolation(isolation),
-        AnalysisSettings::TupleDepFk().WithThreads(num_threads).WithIsolation(isolation),
-        AnalysisSettings::AttrDepFk().WithThreads(num_threads).WithIsolation(isolation)}) {
-    SummaryGraph graph =
-        BuildSummaryGraph(UnfoldAtMost2(workload.programs), settings, pool.get());
+       {AnalysisSettings::TupleDep().WithIsolation(isolation),
+        AnalysisSettings::AttrDep().WithIsolation(isolation),
+        AnalysisSettings::TupleDepFk().WithIsolation(isolation),
+        AnalysisSettings::AttrDepFk().WithIsolation(isolation)}) {
+    SummaryGraph graph = BuildSummaryGraph(workload.programs, settings);
     for (Method method : {Method::kTypeII, Method::kTypeI}) {
       VerdictEntry entry;
       entry.settings = settings;
@@ -99,12 +90,11 @@ WorkloadReport BuildReport(const Workload& workload, bool analyze_subsets,
   }
 
   if (analyze_subsets && CoreSearchProgramCountOk(report.num_programs)) {
-    // Reuse the report's pool instead of constructing another.
-    const AnalysisSettings subset_settings =
-        AnalysisSettings::AttrDepFk().WithThreads(num_threads).WithIsolation(isolation);
-    SubsetReport subsets = TryAnalyzeSubsetsCoreGuided(workload.programs, subset_settings,
-                                                       Method::kTypeII, pool.get())
-                               .value();
+    SubsetReport subsets =
+        TryAnalyzeSubsetsCoreGuided(workload.programs,
+                                    AnalysisSettings::AttrDepFk().WithIsolation(isolation),
+                                    Method::kTypeII)
+            .value();
     std::vector<std::string> names = workload.abbreviations;
     if (names.size() != workload.programs.size()) {
       names.clear();

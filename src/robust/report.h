@@ -52,11 +52,8 @@ struct WorkloadReport {
 /// methods, under `isolation`'s policy; when `analyze_subsets` is set (and
 /// the workload has at most kMaxCoreSearchPrograms programs) also computes
 /// the maximal robust subsets under attr dep + FK with the core-guided
-/// search (robust/core_search.h). `num_threads` parallelizes graph
-/// construction and the subset analysis (1 = serial, < 1 = hardware
-/// concurrency); it never changes the report's contents.
+/// search (robust/core_search.h).
 WorkloadReport BuildReport(const Workload& workload, bool analyze_subsets,
-                           int num_threads = 1,
                            IsolationLevel isolation = IsolationLevel::kMvrc);
 
 }  // namespace mvrc

@@ -1,21 +1,16 @@
 #include "robust/subsets.h"
 
 #include <algorithm>
-#include <iterator>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <unordered_map>
 #include <utility>
 
-#include "btp/unfold.h"
 #include "robust/core_search.h"
 #include "robust/masked_detector.h"
 #include "summary/build_summary.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace mvrc {
 
@@ -104,86 +99,61 @@ std::optional<Result<SubsetReport>> CheckProgramCount(int n) {
 }
 
 // The funnel every entry point below ends in: the core-guided search.
-// Narrow hooks are lifted onto the wide pair it reads. The search calls wide
-// hooks from pool workers, while narrow callbacks need not be thread-safe,
-// so every narrow call runs under one mutex. The verdicts the detector
-// decided are remembered as well: a mask the search meets twice is answered
-// the second time without the detector, and `store` runs once per mask.
+// Narrow hooks are lifted onto the wide pair it reads. The verdicts the
+// detector decided are remembered as well: a mask the search meets twice is
+// answered the second time without the detector, and `store` runs once per
+// mask.
 Result<SubsetReport> SweepDetector(const MaskedDetector& detector, Method method,
-                                   ThreadPool* pool, const SubsetSweepHooks* hooks) {
+                                   const SubsetSweepHooks* hooks) {
   if (std::optional<Result<SubsetReport>> error = CheckProgramCount(detector.num_programs())) {
     return *error;
   }
   if (hooks == nullptr || (!hooks->lookup && !hooks->store)) {
-    return AnalyzeSubsetsCoreGuided(detector, method, pool, hooks);
+    return AnalyzeSubsetsCoreGuided(detector, method, hooks);
   }
-  std::mutex mutex;
   std::unordered_map<uint32_t, bool> decided;
   SubsetSweepHooks lifted;
   lifted.wide_lookup = [&](const ProgramSet& subset) -> std::optional<bool> {
-    std::lock_guard<std::mutex> lock(mutex);
     auto it = decided.find(subset.ToMask());
     if (it != decided.end()) return it->second;
     return hooks->lookup ? hooks->lookup(subset.ToMask()) : std::nullopt;
   };
   lifted.wide_store = [&](const ProgramSet& subset, bool robust) {
-    std::lock_guard<std::mutex> lock(mutex);
     if (decided.emplace(subset.ToMask(), robust).second && hooks->store) {
       hooks->store(subset.ToMask(), robust);
     }
   };
-  return AnalyzeSubsetsCoreGuided(detector, method, pool, &lifted);
+  return AnalyzeSubsetsCoreGuided(detector, method, &lifted);
 }
 
 }  // namespace
 
 Result<SubsetReport> AnalyzeSubsetsOnDetector(const MaskedDetector& detector, Method method,
-                                              ThreadPool* pool,
                                               const SubsetSweepHooks* hooks) {
-  return SweepDetector(detector, method, pool, hooks);
+  return SweepDetector(detector, method, hooks);
 }
 
 Result<SubsetReport> AnalyzeSubsetsOnGraph(const SummaryGraph& full_graph,
                                            const std::vector<std::pair<int, int>>& ltp_range,
-                                           Method method, ThreadPool* pool,
-                                           const SubsetSweepHooks* hooks,
+                                           Method method, const SubsetSweepHooks* hooks,
                                            const IsolationPolicy& policy) {
   const int n = static_cast<int>(ltp_range.size());
   if (std::optional<Result<SubsetReport>> error = CheckProgramCount(n)) return *error;
   MaskedDetector detector(full_graph, ltp_range, policy);
-  return SweepDetector(detector, method, pool, hooks);
+  return SweepDetector(detector, method, hooks);
 }
 
 Result<SubsetReport> TryAnalyzeSubsets(const std::vector<Btp>& programs,
                                        const AnalysisSettings& settings, Method method,
-                                       ThreadPool* pool, const SubsetSweepHooks* hooks) {
+                                       const SubsetSweepHooks* hooks) {
   const int n = static_cast<int>(programs.size());
   if (std::optional<Result<SubsetReport>> error = CheckProgramCount(n)) return *error;
-
-  // Build the summary graph once for the full program set; every subset's
-  // graph is an induced subgraph (Algorithm 1's conditions are local to the
-  // two programs of an edge). Track which unfolded LTPs belong to which BTP.
-  std::vector<Ltp> all_ltps;
-  std::vector<std::pair<int, int>> ltp_range(n);  // [begin, end) per BTP
-  for (int i = 0; i < n; ++i) {
-    std::vector<Ltp> unfolded = UnfoldAtMost2(programs[i]);
-    ltp_range[i] = {static_cast<int>(all_ltps.size()),
-                    static_cast<int>(all_ltps.size() + unfolded.size())};
-    all_ltps.insert(all_ltps.end(), std::make_move_iterator(unfolded.begin()),
-                    std::make_move_iterator(unfolded.end()));
-  }
-
-  // A caller-provided pool wins; otherwise fall back to the old behavior of
-  // constructing one per call when settings.num_threads != 1.
-  std::unique_ptr<ThreadPool> owned_pool;
-  if (pool == nullptr && settings.num_threads != 1) {
-    owned_pool = std::make_unique<ThreadPool>(ThreadPool::ResolveThreadCount(settings.num_threads));
-    pool = owned_pool.get();
-  }
-  SummaryGraph full_graph =
-      BuildSummaryGraph(std::move(all_ltps), settings,
-                        pool != nullptr && pool->num_threads() > 1 ? pool : nullptr);
-  return AnalyzeSubsetsOnGraph(full_graph, ltp_range, method, pool, hooks, settings.policy());
+  // One summary graph for the full program set; every subset's graph is an
+  // induced subgraph (Algorithm 1's conditions are local to the two
+  // programs of an edge).
+  const ProgramsSummary summary = BuildProgramsSummary(programs, settings);
+  return AnalyzeSubsetsOnGraph(summary.graph, summary.ltp_range, method, hooks,
+                               settings.policy());
 }
 
 SubsetReport AnalyzeSubsets(const std::vector<Btp>& programs, const AnalysisSettings& settings,

@@ -32,7 +32,6 @@
 namespace mvrc {
 
 class MaskedDetector;
-class ThreadPool;
 
 /// Bound on the program count up to which a SubsetReport materializes
 /// robust_masks — every robust subset as a `uint32_t` mask (program i <->
@@ -61,7 +60,6 @@ constexpr bool SubsetProgramCountOk(int n) { return n >= 1 && n <= kMaxSubsetPro
 /// test oracle's per-mask sweep fills the same fields from its masks.
 struct SubsetReport {
   int num_programs = 0;
-  int num_threads = 1;                  // worker threads the search ran with
   std::vector<uint32_t> robust_masks;   // every robust subset, as a bitmask
   std::vector<uint32_t> maximal_masks;  // robust subsets maximal under inclusion
 
@@ -98,13 +96,13 @@ struct SubsetReport {
 ///
 /// The wide pair is what the core-guided search (core_search.h) reads: when
 /// both wide callbacks are set, every IsRobust evaluation of the search —
-/// candidate tests, chunk probes, greedy shrink tests — consults
-/// `wide_lookup` first and feeds `wide_store` with what the detector
-/// decided, for any program count the search accepts. The wide callbacks
-/// ARE invoked from pool workers concurrently, so they must be thread-safe
-/// (the service backs them with the internally synchronized VerdictCache,
+/// candidate tests and greedy shrink tests — consults `wide_lookup` first
+/// and feeds `wide_store` with what the detector decided, for any program
+/// count the search accepts. The search runs on the calling thread and
+/// invokes every callback there, one at a time, so callbacks need no
+/// locking of their own (the service backs them with its VerdictCache,
 /// keyed by WideFingerprints, so `check`, `subsets` and edits share one key
-/// space); and a cached non-robust verdict is trusted outright — the search
+/// space). A cached non-robust verdict is trusted outright — the search
 /// extracts a witness from the subset without re-verifying, so an incorrect
 /// `wide_lookup` aborts rather than mis-reporting.
 ///
@@ -113,9 +111,7 @@ struct SubsetReport {
 /// ignore the wide callbacks. `lookup(mask)` is consulted before the
 /// detector runs on a subset; a returned value is taken as the verdict and
 /// the detector is skipped. `store(mask, robust)` is called exactly once
-/// for every mask the detector actually evaluated. Narrow callbacks are
-/// serialized — never two at once — but may run on pool workers, not only
-/// on the calling thread.
+/// for every mask the detector actually evaluated.
 struct SubsetSweepHooks {
   std::function<std::optional<bool>(uint32_t)> lookup;
   std::function<void(uint32_t, bool)> store;
@@ -127,25 +123,14 @@ struct SubsetSweepHooks {
 /// enforced — the CHECKing wrapper below aborts, TryAnalyzeSubsets returns
 /// an error) with the core-guided search, and materializes every robust
 /// subset as a mask.
-///
-/// With settings.num_threads != 1 the search fans its candidate tests and
-/// core extractions across a thread pool. The report's verdicts, cores and
-/// maximal sets are identical at every thread count (core_search.h explains
-/// why); only num_threads and detector_queries may differ.
 SubsetReport AnalyzeSubsets(const std::vector<Btp>& programs, const AnalysisSettings& settings,
                             Method method);
 
 /// Same analysis with an error path instead of a CHECK for oversized
 /// workloads (n outside [1, kMaxSubsetPrograms]) — the analysis service must
-/// reject bad requests without aborting the process. When `pool` is non-null
-/// it is reused for graph construction and the search instead of constructing
-/// a pool per call (the service shares one pool across all requests), and
-/// its thread count overrides settings.num_threads; a null `pool` falls back
-/// to the old behavior (settings.num_threads decides, and a pool is created
-/// per call when it is != 1).
+/// reject bad requests without aborting the process.
 Result<SubsetReport> TryAnalyzeSubsets(const std::vector<Btp>& programs,
                                        const AnalysisSettings& settings, Method method,
-                                       ThreadPool* pool = nullptr,
                                        const SubsetSweepHooks* hooks = nullptr);
 
 /// The analysis alone, on a caller-provided summary graph over the full
@@ -159,7 +144,7 @@ Result<SubsetReport> TryAnalyzeSubsets(const std::vector<Btp>& programs,
 /// AnalyzeSubsets computes for the same program set.
 Result<SubsetReport> AnalyzeSubsetsOnGraph(const SummaryGraph& full_graph,
                                            const std::vector<std::pair<int, int>>& ltp_range,
-                                           Method method, ThreadPool* pool = nullptr,
+                                           Method method,
                                            const SubsetSweepHooks* hooks = nullptr,
                                            const IsolationPolicy& policy =
                                                GetPolicy(IsolationLevel::kMvrc));
@@ -172,8 +157,16 @@ Result<SubsetReport> AnalyzeSubsetsOnGraph(const SummaryGraph& full_graph,
 /// keep the detector alongside it and amortize the precomputation too. The
 /// report is identical to AnalyzeSubsets over the same program set.
 Result<SubsetReport> AnalyzeSubsetsOnDetector(const MaskedDetector& detector, Method method,
-                                              ThreadPool* pool = nullptr,
                                               const SubsetSweepHooks* hooks = nullptr);
+
+// perfbench/e2e_main.cc still passes SessionManager::pool() here; the
+// pointer is ignored.
+class ThreadPool;
+inline Result<SubsetReport> AnalyzeSubsetsOnDetector(const MaskedDetector& detector,
+                                                     Method method, ThreadPool*,
+                                                     const SubsetSweepHooks* hooks) {
+  return AnalyzeSubsetsOnDetector(detector, method, hooks);
+}
 
 }  // namespace mvrc
 

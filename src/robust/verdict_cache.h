@@ -22,10 +22,9 @@
 // their bit positions, so cached verdicts survive index shifts from
 // unrelated removals.
 //
-// Internally synchronized: the core-guided search invokes its verdict-cache
-// hooks from thread-pool workers (see SubsetSweepHooks::wide_lookup), so
-// Lookup/Store take an internal mutex. The check runs under the session
-// lock and simply pays one uncontended lock acquisition.
+// Internally synchronized: Lookup/Store take an internal mutex, so a cache
+// may be shared by callers that hold no common lock. The session calls it
+// under its own lock and simply pays one uncontended lock acquisition.
 
 #ifndef MVRC_ROBUST_VERDICT_CACHE_H_
 #define MVRC_ROBUST_VERDICT_CACHE_H_

@@ -318,7 +318,6 @@ Json HandleStats(SessionManager& manager, const Json& request) {
   if (session_name.empty()) {
     Json response = OkResponse();
     response.Set("sessions", NamesArray(manager.SessionNames()));
-    response.Set("num_threads", Json::Int(manager.num_threads()));
     return response;
   }
   Json error;

@@ -36,7 +36,7 @@
 //       -> {"found":B,"description"?:..,"schedules_checked":..}
 //   {"cmd":"stats","session":S}        -> per-session counters (including
 //       "settings" and "isolation")
-//   {"cmd":"stats"}                    -> {"sessions":[names],"num_threads":N}
+//   {"cmd":"stats"}                    -> {"sessions":[names]}
 //   {"cmd":"metrics"[,"session":S]}    -> process-wide observability snapshot
 //       {"counters":{..},"gauges":{..},"histograms":{name:{"count","sum",
 //       "min","max","mean","p50","p95","p99"}},"trace":{"enabled","recorded",

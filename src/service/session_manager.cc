@@ -31,12 +31,6 @@ Gauge* LiveSessionsGauge() {
 
 }  // namespace
 
-SessionManager::SessionManager(int num_threads) {
-  if (num_threads != 1) {
-    pool_ = std::make_unique<ThreadPool>(ThreadPool::ResolveThreadCount(num_threads));
-  }
-}
-
 const SessionManager::Shard& SessionManager::ShardFor(const std::string& name) const {
   return shards_[std::hash<std::string>{}(name) % kNumShards];
 }
@@ -57,7 +51,7 @@ std::shared_ptr<WorkloadSession> SessionManager::GetOrCreate(
     if (created != nullptr) *created = false;
     return it->second;
   }
-  auto session = std::make_shared<WorkloadSession>(name, settings, pool_.get());
+  auto session = std::make_shared<WorkloadSession>(name, settings);
   shard.sessions.emplace(name, session);
   creates->Add(1);
   LiveSessionsGauge()->Add(1);

@@ -1,12 +1,11 @@
-// Holds the analysis service's sessions behind a mutex-sharded map and owns
-// the worker pool every session's analysis is dispatched onto.
+// Holds the analysis service's sessions behind a mutex-sharded map.
 //
 // Sharding keeps name -> session resolution contention-light under many
 // concurrent clients: a lookup locks only the shard its name hashes to, and
 // the heavy work (cell recomputation, subset searches) runs outside any shard
-// lock under the target session's own mutex, fanned across the shared
-// ThreadPool. Sessions are handed out as shared_ptr so a Drop cannot
-// invalidate a request in flight.
+// lock under the target session's own mutex, on the requesting thread.
+// Sessions are handed out as shared_ptr so a Drop cannot invalidate a
+// request in flight.
 
 #ifndef MVRC_SERVICE_SESSION_MANAGER_H_
 #define MVRC_SERVICE_SESSION_MANAGER_H_
@@ -20,25 +19,21 @@
 
 #include "service/workload_session.h"
 #include "summary/dep_tables.h"
-#include "util/thread_pool.h"
 
 namespace mvrc {
 
-/// Registry of named WorkloadSessions sharing one ThreadPool.
+/// Registry of named WorkloadSessions.
 class SessionManager {
  public:
-  /// `num_threads` follows the AnalysisSettings convention: 1 (default)
-  /// means fully serial (no pool is created), < 1 means hardware
-  /// concurrency.
-  explicit SessionManager(int num_threads = 1);
+  SessionManager() = default;
+
+  // perfbench/e2e_main.cc still constructs the manager with a worker count
+  // and passes pool() on; the count is ignored and no thread is started.
+  explicit SessionManager(int) {}
+  ThreadPool* pool() { return nullptr; }
 
   SessionManager(const SessionManager&) = delete;
   SessionManager& operator=(const SessionManager&) = delete;
-
-  /// Worker threads analysis fans across (1 when serial).
-  int num_threads() const { return pool_ != nullptr ? pool_->num_threads() : 1; }
-  /// The shared pool, or nullptr when serial.
-  ThreadPool* pool() { return pool_.get(); }
 
   /// Returns the named session, creating it with `settings` on first use.
   /// An existing session keeps its original settings — the argument only
@@ -71,7 +66,6 @@ class SessionManager {
   const Shard& ShardFor(const std::string& name) const;
   Shard& ShardFor(const std::string& name);
 
-  std::unique_ptr<ThreadPool> pool_;  // null when serial
   std::array<Shard, kNumShards> shards_;
 };
 

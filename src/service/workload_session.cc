@@ -11,7 +11,6 @@
 #include "sql/analyzer.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace mvrc {
 
@@ -63,8 +62,8 @@ Json SessionStats::ToJson() const {
   return stats;
 }
 
-WorkloadSession::WorkloadSession(std::string name, AnalysisSettings settings, ThreadPool* pool)
-    : name_(std::move(name)), settings_(settings), pool_(pool) {}
+WorkloadSession::WorkloadSession(std::string name, AnalysisSettings settings)
+    : name_(std::move(name)), settings_(settings) {}
 
 int WorkloadSession::FindEntryLocked(const std::string& name) const {
   for (size_t i = 0; i < entries_.size(); ++i) {
@@ -75,9 +74,10 @@ int WorkloadSession::FindEntryLocked(const std::string& name) const {
 
 WorkloadSession::Cell WorkloadSession::ComputeCellLocked(const Entry& from,
                                                          const Entry& to) const {
-  // Interned bucket-join emission — bit-identical to SummaryEdgesBetween
-  // over the plain LTPs (the contract the interned builder is differentially
-  // gated on), straight into the cell's flat arena.
+  // Interned bucket-join emission — bit-identical to the per-pair oracle
+  // over the plain LTPs (tests/support/build_oracle.h, the contract the
+  // interned builder is differentially gated on), straight into the cell's
+  // flat arena.
   Cell cell;
   cell.row_start.reserve(from.interned.size() + 1);
   cell.row_start.push_back(0);
@@ -94,14 +94,10 @@ WorkloadSession::Cell WorkloadSession::ComputeCellLocked(const Entry& from,
 std::vector<WorkloadSession::Cell> WorkloadSession::ComputeCellsLocked(
     const std::vector<std::pair<int, int>>& pairs, const EntryAt& entry_at) {
   TraceSpan span("session/compute_cells", "cells=" + std::to_string(pairs.size()));
-  std::vector<Cell> computed(pairs.size());
-  auto compute = [&](int64_t t) {
-    computed[t] = ComputeCellLocked(entry_at(pairs[t].first), entry_at(pairs[t].second));
-  };
-  if (pool_ != nullptr && pool_->num_threads() > 1 && pairs.size() > 1) {
-    pool_->ParallelFor(static_cast<int64_t>(pairs.size()), compute);
-  } else {
-    for (size_t t = 0; t < pairs.size(); ++t) compute(static_cast<int64_t>(t));
+  std::vector<Cell> computed;
+  computed.reserve(pairs.size());
+  for (const auto& [i, j] : pairs) {
+    computed.push_back(ComputeCellLocked(entry_at(i), entry_at(j)));
   }
   stats_.cells_computed += static_cast<int64_t>(pairs.size());
   static Counter* cells = MetricsRegistry::Global().counter("session.cells_computed");
@@ -121,8 +117,7 @@ WorkloadSession::Entry WorkloadSession::MakeEntryLocked(const Btp& program) {
   Entry entry{program, UnfoldAtMost2(program), {}, 0};
   entry.interned.reserve(entry.ltps.size());
   for (const Ltp& ltp : entry.ltps) entry.interned.push_back(InternLtp(interner_, ltp));
-  // Cover any newly interned shapes before cell computation (which may fan
-  // out across the pool and must see a read-only interner + matrix).
+  // Cover any newly interned shapes before cell computation.
   matrix_.Sync(interner_, settings_);
   return entry;
 }
@@ -548,11 +543,9 @@ Result<SubsetReport> WorkloadSession::Subsets(Method method, std::vector<std::st
   // the detector precomputation. Its verdicts are keyed through one
   // fingerprinter snapshot, in the key space Check uses, so a checked full
   // set answers the search's first candidate and a fully cached request
-  // costs one lookup per query the search would make. The hooks run on pool
-  // workers and so touch only the internally synchronized VerdictCache —
-  // never stats_ — with the search's own counters merged afterwards under
-  // the session lock. Sessions past the search's range get the
-  // program-count error without building anything.
+  // costs one lookup per query the search would make. The search's own
+  // counters are merged into stats_ afterwards. Sessions past the search's
+  // range get the program-count error without building anything.
   const int n = static_cast<int>(entries_.size());
   Result<SubsetReport> report = [&]() -> Result<SubsetReport> {
     if (!CoreSearchProgramCountOk(n)) {
@@ -570,7 +563,7 @@ Result<SubsetReport> WorkloadSession::Subsets(Method method, std::vector<std::st
     };
     CoreSearchStats search_stats;
     Result<SubsetReport> wide_report = AnalyzeSubsetsCoreGuided(
-        CachedDetectorLocked(), method, pool_, &hooks, &search_stats);
+        CachedDetectorLocked(), method, &hooks, &search_stats);
     stats_.detector_runs += search_stats.detector_queries;
     if (wide_report.ok()) {
       RevisionLattice lattice;

@@ -31,9 +31,7 @@
 // (Proposition 5.2: a set is non-robust iff it contains a core).
 //
 // Thread safety: public methods lock an internal mutex, so a session may be
-// shared across server threads. The optional ThreadPool (borrowed, not
-// owned — typically the SessionManager's) parallelizes cell recomputation
-// and the subset search; pass nullptr for fully serial operation.
+// shared across server threads. Every analysis runs on the calling thread.
 
 #ifndef MVRC_SERVICE_WORKLOAD_SESSION_H_
 #define MVRC_SERVICE_WORKLOAD_SESSION_H_
@@ -62,8 +60,6 @@
 #include "workloads/workload.h"
 
 namespace mvrc {
-
-class ThreadPool;
 
 /// Counters describing a session's lifetime work; `stats` protocol requests
 /// render these. stmt_pairs_evaluated is the dep-table work measure the
@@ -142,8 +138,7 @@ struct CheckResult {
 /// cells + verdict cache.
 class WorkloadSession {
  public:
-  /// `pool` (may be null) is borrowed and must outlive the session.
-  WorkloadSession(std::string name, AnalysisSettings settings, ThreadPool* pool = nullptr);
+  WorkloadSession(std::string name, AnalysisSettings settings);
 
   WorkloadSession(const WorkloadSession&) = delete;
   WorkloadSession& operator=(const WorkloadSession&) = delete;
@@ -261,8 +256,8 @@ class WorkloadSession {
   // assigns the revision.
   Entry MakeEntryLocked(const Btp& program);
   Cell ComputeCellLocked(const Entry& from, const Entry& to) const;
-  // Computes the cells for `pairs` (fanning across the pool when present)
-  // and accounts the dep-table work in stats_.
+  // Computes the cells for `pairs` and accounts the dep-table work in
+  // stats_.
   std::vector<Cell> ComputeCellsLocked(const std::vector<std::pair<int, int>>& pairs,
                                        const EntryAt& entry_at);
   // Appends `program` (already validated) as a new entry with fresh cells.
@@ -285,7 +280,6 @@ class WorkloadSession {
 
   const std::string name_;
   const AnalysisSettings settings_;
-  ThreadPool* const pool_;  // borrowed; may be null
 
   mutable std::mutex mutex_;
   Schema schema_;

@@ -1,6 +1,7 @@
 #include "summary/build_summary.h"
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -11,26 +12,8 @@
 #include "summary/statement_interner.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace mvrc {
-
-std::vector<SummaryEdge> SummaryEdgesBetween(const Ltp& from, int from_index, const Ltp& to,
-                                             int to_index, const AnalysisSettings& settings) {
-  std::vector<SummaryEdge> edges;
-  for (int qi = 0; qi < from.size(); ++qi) {
-    for (int qj = 0; qj < to.size(); ++qj) {
-      if (from.stmt(qi).rel() != to.stmt(qj).rel()) continue;
-      if (AllowsNonCounterflow(from.stmt(qi), to.stmt(qj), settings)) {
-        edges.push_back({from_index, qi, /*counterflow=*/false, qj, to_index});
-      }
-      if (AllowsCounterflow(from, qi, to, qj, settings)) {
-        edges.push_back({from_index, qi, /*counterflow=*/true, qj, to_index});
-      }
-    }
-  }
-  return edges;
-}
 
 namespace {
 
@@ -134,11 +117,10 @@ InternedPrograms InternPrograms(const std::vector<Ltp>& programs,
   return interned;
 }
 
-// Edges whose source is row `pi`, in the serial loop's inner order (pj, then
-// qi, then qj, non-counterflow before counterflow per statement pair).
-// Appending these row buffers in pi order reproduces the legacy serial edge
-// list bit for bit, which keeps the interned and parallel builds observably
-// identical.
+// Edges whose source is row `pi`, in the legacy loop's inner order (pj,
+// then qi, then qj, non-counterflow before counterflow per statement pair).
+// Appending these rows in pi order reproduces the legacy edge list bit for
+// bit.
 void AppendRowEdges(const InternedPrograms& interned, int pi,
                     std::vector<SummaryEdge>& out) {
   const int n = static_cast<int>(interned.ltps.size());
@@ -161,10 +143,9 @@ struct ReplayArena {
 // the whole CSR layout — total edge count, per-row/per-column arena offsets
 // and the counterflow count — follows from shape-count algebra in
 // O(shapes² + n) before a single edge is written. Rows then write their
-// edges straight into disjoint slices of the final arena (serially or
-// grain-chunked across the pool), and the trusted SummaryGraph constructor
-// skips everything but the in-index scatter.
-ReplayArena ReplayBuild(const InternedPrograms& interned, ThreadPool* pool) {
+// edges back to back into the reserved arena, and the trusted SummaryGraph
+// constructor skips everything but the in-index scatter.
+ReplayArena ReplayBuild(const InternedPrograms& interned) {
   const int n = static_cast<int>(interned.ltps.size());
   const int num_shapes = static_cast<int>(interned.shape_rep.size());
   const auto tmpl = [&interned, num_shapes](int sa, int sb) -> const std::vector<TemplateEdge>& {
@@ -209,11 +190,11 @@ ReplayArena ReplayBuild(const InternedPrograms& interned, ThreadPool* pool) {
                      interned.templates[t].end());
   }
 
+  // Rows are appended into the reserved arena (appending avoids the
+  // zero-fill a resize-then-overwrite would pay).
   std::vector<SummaryEdge> edges;
-  // Row emission with a caller-chosen sink: the serial path appends into the
-  // reserved arena, the parallel path writes through a raw cursor into its
-  // row's slice.
-  const auto emit_row = [&](int pi, auto&& sink) {
+  edges.reserve(static_cast<size_t>(total));
+  for (int pi = 0; pi < n; ++pi) {
     const size_t row = static_cast<size_t>(interned.ltp_shape[pi]) * num_shapes;
     const int32_t* begin_row = tmpl_begin.data() + row;
     const int32_t* size_row = tmpl_size.data() + row;
@@ -221,10 +202,10 @@ ReplayArena ReplayBuild(const InternedPrograms& interned, ThreadPool* pool) {
       const int32_t sb = interned.ltp_shape[pj];
       const TemplateEdge* t = tmpl_pool.data() + begin_row[sb];
       for (int32_t k = 0; k < size_row[sb]; ++k) {
-        sink(SummaryEdge{pi, t[k].from_occ, t[k].counterflow, t[k].to_occ, pj});
+        edges.push_back(SummaryEdge{pi, t[k].from_occ, t[k].counterflow, t[k].to_occ, pj});
       }
     }
-  };
+  }
   // The in-index permutation, also by template algebra: target pj's
   // in-edges from source pi sit at arena positions out_offsets[pi] +
   // cell_prefix[shape(pi)][pj] + k — no arena scan, and each target's index
@@ -241,7 +222,7 @@ ReplayArena ReplayBuild(const InternedPrograms& interned, ThreadPool* pool) {
     prefix[n] = static_cast<int32_t>(run);
   }
   std::vector<int32_t> in_index(static_cast<size_t>(total));
-  const auto fill_in_index = [&](int pj) {
+  for (int pj = 0; pj < n; ++pj) {
     int32_t* out = in_index.data() + in_offsets[pj];
     const int32_t sj = interned.ltp_shape[pj];
     for (int pi = 0; pi < n; ++pi) {
@@ -250,32 +231,6 @@ ReplayArena ReplayBuild(const InternedPrograms& interned, ThreadPool* pool) {
       int32_t e = out_offsets[pi] + cell_prefix[static_cast<size_t>(sa) * (n + 1) + pj];
       for (int32_t k = 0; k < count; ++k) *out++ = e++;
     }
-  };
-
-  if (pool == nullptr || pool->num_threads() <= 1 || n <= 1) {
-    // Serial: rows are emitted back to back into the reserved arena
-    // (appending avoids the zero-fill a resize-then-overwrite would pay).
-    edges.reserve(static_cast<size_t>(total));
-    for (int pi = 0; pi < n; ++pi) {
-      emit_row(pi, [&edges](const SummaryEdge& edge) { edges.push_back(edge); });
-    }
-    for (int pj = 0; pj < n; ++pj) fill_in_index(pj);
-  } else {
-    // Parallel: rows write into disjoint slices of a pre-sized arena. The
-    // resize's value-initialization is one redundant pass over the arena,
-    // but it is what lets the workers write lock-free at their own offsets
-    // (vector has no uninitialized-resize), and the fan-out amortizes it.
-    edges.resize(static_cast<size_t>(total));
-    const int64_t grain = ThreadPool::DefaultGrain(n, pool->num_threads());
-    pool->ParallelForChunked(n, grain, [&](int64_t begin, int64_t end) {
-      for (int64_t pi = begin; pi < end; ++pi) {
-        SummaryEdge* out = edges.data() + out_offsets[pi];
-        emit_row(static_cast<int>(pi), [&out](const SummaryEdge& edge) { *out++ = edge; });
-      }
-    });
-    pool->ParallelForChunked(n, grain, [&fill_in_index](int64_t begin, int64_t end) {
-      for (int64_t pj = begin; pj < end; ++pj) fill_in_index(static_cast<int>(pj));
-    });
   }
   return {std::move(edges), static_cast<int>(cf_total), std::move(out_offsets),
           std::move(in_offsets), std::move(in_index)};
@@ -283,8 +238,7 @@ ReplayArena ReplayBuild(const InternedPrograms& interned, ThreadPool* pool) {
 
 }  // namespace
 
-SummaryGraph BuildSummaryGraph(std::vector<Ltp> programs, const AnalysisSettings& settings,
-                               ThreadPool* pool) {
+SummaryGraph BuildSummaryGraph(std::vector<Ltp> programs, const AnalysisSettings& settings) {
   TraceSpan span("summary/build", "programs=" + std::to_string(programs.size()));
   Stopwatch timer;
   // The build proper runs in an immediately-invoked lambda (which inherits
@@ -295,38 +249,14 @@ SummaryGraph BuildSummaryGraph(std::vector<Ltp> programs, const AnalysisSettings
     const int n = static_cast<int>(programs.size());
 
     if (interned.use_templates) {
-      ReplayArena arena = ReplayBuild(interned, pool);
+      ReplayArena arena = ReplayBuild(interned);
       return SummaryGraph(std::move(programs), std::move(arena.edges), arena.num_counterflow,
                           std::move(arena.out_offsets), std::move(arena.in_offsets),
                           std::move(arena.in_index));
     }
 
-    if (pool == nullptr || pool->num_threads() <= 1 || n <= 1) {
-      std::vector<SummaryEdge> edges;
-      for (int pi = 0; pi < n; ++pi) AppendRowEdges(interned, pi, edges);
-      return SummaryGraph(std::move(programs), std::move(edges));
-    }
-
-    // Rows (source programs) are independent: fan grain-chunked row blocks
-    // across the pool, each emitting into its own buffer, then splice the
-    // buffers in row-block order. Chunk boundaries never change the emitted
-    // sequence, only how it is produced.
-    const int64_t grain = ThreadPool::DefaultGrain(n, pool->num_threads());
-    const int64_t num_blocks = (n + grain - 1) / grain;
-    std::vector<std::vector<SummaryEdge>> blocks(num_blocks);
-    pool->ParallelForChunked(n, grain, [&interned, &blocks, grain](int64_t begin, int64_t end) {
-      std::vector<SummaryEdge>& block = blocks[begin / grain];
-      for (int64_t pi = begin; pi < end; ++pi) {
-        AppendRowEdges(interned, static_cast<int>(pi), block);
-      }
-    });
-    size_t total = 0;
-    for (const std::vector<SummaryEdge>& block : blocks) total += block.size();
     std::vector<SummaryEdge> edges;
-    edges.reserve(total);
-    for (const std::vector<SummaryEdge>& block : blocks) {
-      edges.insert(edges.end(), block.begin(), block.end());
-    }
+    for (int pi = 0; pi < n; ++pi) AppendRowEdges(interned, pi, edges);
     return SummaryGraph(std::move(programs), std::move(edges));
   }();
   static Counter* builds = MetricsRegistry::Global().counter("summary.builds");
@@ -338,42 +268,24 @@ SummaryGraph BuildSummaryGraph(std::vector<Ltp> programs, const AnalysisSettings
   return graph;
 }
 
-SummaryGraph BuildSummaryGraph(std::vector<Ltp> programs, const AnalysisSettings& settings) {
-  if (settings.num_threads != 1) {
-    ThreadPool pool(ThreadPool::ResolveThreadCount(settings.num_threads));
-    return BuildSummaryGraph(std::move(programs), settings, &pool);
-  }
-  return BuildSummaryGraph(std::move(programs), settings, nullptr);
-}
-
 SummaryGraph BuildSummaryGraph(const std::vector<Btp>& programs,
                                const AnalysisSettings& settings) {
   return BuildSummaryGraph(UnfoldAtMost2(programs), settings);
 }
 
-SummaryGraph BuildSummaryGraphLegacy(std::vector<Ltp> programs,
+ProgramsSummary BuildProgramsSummary(const std::vector<Btp>& programs,
                                      const AnalysisSettings& settings) {
-  TraceSpan span("summary/build_legacy",
-                 "programs=" + std::to_string(programs.size()));
-  static Counter* builds = MetricsRegistry::Global().counter("summary.legacy_builds");
-  builds->Add(1);
-  // Faithful replica of the pre-interning serial builder: one heap-allocated
-  // edge vector per LTP-pair cell, spliced into per-row buffers, appended
-  // edge by edge, with the adjacency index finalized before return (the old
-  // graph maintained per-program in/out index vectors eagerly on insertion).
-  SummaryGraph graph(std::move(programs));
-  const int n = graph.num_programs();
-  for (int pi = 0; pi < n; ++pi) {
-    std::vector<SummaryEdge> row;
-    for (int pj = 0; pj < n; ++pj) {
-      std::vector<SummaryEdge> cell =
-          SummaryEdgesBetween(graph.program(pi), pi, graph.program(pj), pj, settings);
-      row.insert(row.end(), cell.begin(), cell.end());
-    }
-    for (const SummaryEdge& edge : row) graph.AddEdge(edge);
+  std::vector<Ltp> all_ltps;
+  std::vector<std::pair<int, int>> ltp_range;
+  ltp_range.reserve(programs.size());
+  for (const Btp& program : programs) {
+    std::vector<Ltp> unfolded = UnfoldAtMost2(program);
+    ltp_range.push_back({static_cast<int>(all_ltps.size()),
+                         static_cast<int>(all_ltps.size() + unfolded.size())});
+    all_ltps.insert(all_ltps.end(), std::make_move_iterator(unfolded.begin()),
+                    std::make_move_iterator(unfolded.end()));
   }
-  graph.FinalizeIndex();
-  return graph;
+  return {BuildSummaryGraph(std::move(all_ltps), settings), std::move(ltp_range)};
 }
 
 }  // namespace mvrc

@@ -41,26 +41,16 @@ enum class Granularity {
 /// Analysis settings: granularity x foreign-key usage x isolation level.
 /// The four granularity/FK combinations are exactly the four rows of
 /// Figures 6 and 7; `isolation` selects the IsolationPolicy every verdict is
-/// dispatched through (default: the source paper's MVRC). `num_threads`
-/// does not affect verdicts — it selects how many worker threads the
-/// summary-graph builder and the subset-robustness engine fan work across
-/// (1 = the serial code path, < 1 = use the hardware concurrency).
+/// dispatched through (default: the source paper's MVRC).
 struct AnalysisSettings {
   Granularity granularity = Granularity::kAttribute;
   bool use_foreign_keys = true;
-  int num_threads = 1;
   IsolationLevel isolation = IsolationLevel::kMvrc;
 
   static AnalysisSettings TupleDep() { return {Granularity::kTuple, false}; }
   static AnalysisSettings AttrDep() { return {Granularity::kAttribute, false}; }
   static AnalysisSettings TupleDepFk() { return {Granularity::kTuple, true}; }
   static AnalysisSettings AttrDepFk() { return {Granularity::kAttribute, true}; }
-
-  AnalysisSettings WithThreads(int threads) const {
-    AnalysisSettings copy = *this;
-    copy.num_threads = threads;
-    return copy;
-  }
 
   AnalysisSettings WithIsolation(IsolationLevel level) const {
     AnalysisSettings copy = *this;
@@ -79,8 +69,7 @@ struct AnalysisSettings {
   /// Canonical machine-readable form: "<attr|tpl>[+fk][+rc]", e.g.
   /// "attr+fk", "tpl", "attr+fk+rc". The default MVRC is omitted (so
   /// pre-isolation strings round-trip unchanged); "+mvrc" is accepted by
-  /// Parse for symmetry. num_threads is not encoded — it is an execution
-  /// knob, not an analysis parameter.
+  /// Parse for symmetry.
   std::string ToString() const;
 
   /// Inverse of ToString (single source of truth for the protocol and the
@@ -92,7 +81,7 @@ struct AnalysisSettings {
                                         bool* isolation_explicit = nullptr);
 
   /// True when `other` requests the same analysis: granularity, foreign-key
-  /// usage and isolation agree (num_threads is ignored).
+  /// usage and isolation agree.
   bool SameAnalysis(const AnalysisSettings& other) const {
     return granularity == other.granularity && use_foreign_keys == other.use_foreign_keys &&
            isolation == other.isolation;

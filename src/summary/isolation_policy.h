@@ -62,9 +62,8 @@
 // Future levels (snapshot isolation, RC with functional constraints,
 // cross-model checks à la Beillahi et al.) plug in by subclassing: override
 // the tables and/or the two cycle-certification hooks, add an
-// IsolationLevel tag, and every engine layered on the policy — serial and
-// parallel builds, the interned builder, the masked detector, the subset
-// search, incremental sessions, the NDJSON service and the CLIs — picks the
+// IsolationLevel tag, and every engine layered on the policy — the
+// interned builder, the masked detector, the subset search, incremental sessions, the NDJSON service and the CLIs — picks the
 // level up through AnalysisSettings::isolation.
 
 #ifndef MVRC_SUMMARY_ISOLATION_POLICY_H_

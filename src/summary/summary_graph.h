@@ -29,9 +29,7 @@ namespace mvrc {
 
 struct AnalysisSettings;
 class SummaryGraph;
-class ThreadPool;
-SummaryGraph BuildSummaryGraph(std::vector<Ltp> programs, const AnalysisSettings& settings,
-                               ThreadPool* pool);
+SummaryGraph BuildSummaryGraph(std::vector<Ltp> programs, const AnalysisSettings& settings);
 
 /// One edge (P_i, q_i, c, q_j, P_j). Programs and occurrences are indices
 /// into the owning SummaryGraph.
@@ -176,7 +174,7 @@ class SummaryGraph {
 
  private:
   friend SummaryGraph BuildSummaryGraph(std::vector<Ltp> programs,
-                                        const AnalysisSettings& settings, ThreadPool* pool);
+                                        const AnalysisSettings& settings);
 
   /// Trusted bulk construction for the interned builder's template-replay
   /// path: `edges` must be in-bounds and cell-sorted, and the counterflow

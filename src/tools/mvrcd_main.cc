@@ -14,7 +14,7 @@
 //
 // Usage:
 //   mvrcd [--stdio | --listen=HOST:PORT]
-//         [--threads=N] [--isolation=mvrc|rc] [--trace=FILE]
+//         [--isolation=mvrc|rc] [--trace=FILE]
 //         [--metrics-json=FILE] [--state-dir=DIR] [--max-line-bytes=N]
 //         [--max-inflight=N] [--fault=SPEC]
 //         [--max-conns=N] [--idle-timeout=MS] [--write-timeout=MS]
@@ -26,9 +26,6 @@
 //                        quad; ":PORT" binds 127.0.0.1, port 0 picks an
 //                        ephemeral port). The actually bound address is
 //                        printed to stderr as "mvrcd: listening on H:P".
-//   --threads=N          worker threads for graph maintenance and subset
-//                        sweeps (default 1 = serial; 0 = hardware
-//                        concurrency)
 //   --isolation=mvrc|rc  isolation level for sessions whose load request
 //                        does not name one (default mvrc); individual
 //                        requests may still override with "isolation" or a
@@ -121,7 +118,7 @@ void InstallSignalHandlers() {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: mvrcd [--stdio | --listen=HOST:PORT] [--threads=N] "
+               "usage: mvrcd [--stdio | --listen=HOST:PORT] "
                "[--isolation=mvrc|rc] [--trace=FILE] [--metrics-json=FILE] "
                "[--state-dir=DIR] [--max-line-bytes=N] [--max-inflight=N] "
                "[--max-conns=N] [--idle-timeout=MS] [--write-timeout=MS] "
@@ -185,7 +182,6 @@ void ServeStdio(mvrc::RequestDispatcher& dispatcher) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int num_threads = 1;
   mvrc::ProtocolOptions options;
   std::string trace_path;
   std::string metrics_path;
@@ -206,10 +202,6 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--listen=", 0) == 0) {
       listen_spec = arg.substr(std::strlen("--listen="));
       if (listen_spec.empty()) return Usage();
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      long parsed = 0;
-      if (!ParseNonNegative(arg, "--threads=", 1024, &parsed)) return Usage();
-      num_threads = static_cast<int>(parsed);
     } else if (arg.rfind("--isolation=", 0) == 0) {
       std::optional<mvrc::IsolationLevel> level =
           mvrc::ParseIsolationLevel(arg.substr(std::strlen("--isolation=")));
@@ -286,9 +278,9 @@ int main(int argc, char** argv) {
   InstallSignalHandlers();
 
   {
-    // Scope the manager so its pool (and the worker gauge) wind down before
-    // the metrics snapshot is written.
-    mvrc::SessionManager manager(num_threads);
+    // Scope the manager and the server so they wind down before the metrics
+    // snapshot is written.
+    mvrc::SessionManager manager;
 
     if (store != nullptr) {
       mvrc::RestoreReport report = mvrc::RestoreAllSessions(*store, manager);

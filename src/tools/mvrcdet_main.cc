@@ -5,16 +5,14 @@
 //   mvrcdet [options] --builtin=<smallbank|tpcc|auction>
 //
 // Options:
-//   --subsets      also compute maximal robust subsets (≤ 128 programs:
-//                  exhaustive sweep through 20, core-guided search above)
+//   --subsets      also compute maximal robust subsets with the core-guided
+//                  search (≤ 128 programs)
 //   --dot          print the summary graph (attr dep + FK) as Graphviz DOT
 //   --certify      on rejection, search for a concrete counterexample
 //                  (counterexample schedules are MVRC executions; under
 //                  --isolation=rc the search is still reported but certifies
 //                  against the broader MVRC semantics)
 //   --programs     print the derived BTP statement tables
-//   --threads=N    worker threads for graph construction and the subset
-//                  sweep (default 1 = serial; 0 = hardware concurrency)
 //   --isolation=L  isolation level to analyze against: mvrc (default) or rc
 //                  (lock-based Read Committed, the transaction-template
 //                  characterization)
@@ -35,7 +33,6 @@
 // isolation level, 1 when not, 2 on usage or parse errors.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -57,7 +54,7 @@ namespace {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: mvrcdet [--subsets] [--dot] [--certify] [--programs] [--threads=N]\n"
+               "usage: mvrcdet [--subsets] [--dot] [--certify] [--programs]\n"
                "               [--isolation=mvrc|rc] [--json] [--trace=FILE]\n"
                "               [--metrics-json=FILE]\n"
                "               (<workload.sql> | --builtin=<smallbank|tpcc|auction>)\n");
@@ -80,7 +77,6 @@ bool WriteMetricsJson(const std::string& path) {
 int main(int argc, char** argv) {
   using namespace mvrc;
   bool subsets = false, dot = false, certify = false, print_programs = false, json = false;
-  int num_threads = 1;
   IsolationLevel isolation = IsolationLevel::kMvrc;
   std::string file, builtin, trace_path, metrics_path;
   for (int i = 1; i < argc; ++i) {
@@ -95,12 +91,6 @@ int main(int argc, char** argv) {
       print_programs = true;
     } else if (arg == "--json") {
       json = true;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      const char* value = arg.c_str() + std::strlen("--threads=");
-      char* end = nullptr;
-      long parsed = std::strtol(value, &end, 10);
-      if (end == value || *end != '\0' || parsed < 0 || parsed > 1024) return Usage();
-      num_threads = static_cast<int>(parsed);
     } else if (arg.rfind("--isolation=", 0) == 0) {
       std::optional<IsolationLevel> level =
           ParseIsolationLevel(arg.substr(std::strlen("--isolation=")));
@@ -159,15 +149,14 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  WorkloadReport report = BuildReport(workload, subsets, num_threads, isolation);
+  WorkloadReport report = BuildReport(workload, subsets, isolation);
   if (json) {
     Json doc = report.ToJson();
     // Replay the workload through a throwaway incremental session so the
     // report carries the SessionStats block (one rendering shared with the
     // protocol's `stats` and `metrics` responses).
-    WorkloadSession session(
-        workload.name.empty() ? "mvrcdet" : workload.name,
-        AnalysisSettings::AttrDepFk().WithThreads(num_threads).WithIsolation(isolation));
+    WorkloadSession session(workload.name.empty() ? "mvrcdet" : workload.name,
+                            AnalysisSettings::AttrDepFk().WithIsolation(isolation));
     if (session.LoadWorkload(workload).ok()) {
       session.Check(Method::kTypeII);
       doc.Set("session_stats", session.stats().ToJson());
@@ -177,10 +166,9 @@ int main(int argc, char** argv) {
     std::printf("%s", report.ToText().c_str());
   }
 
-  bool robust = IsRobustUnder(
-      workload.programs,
-      AnalysisSettings::AttrDepFk().WithThreads(num_threads).WithIsolation(isolation),
-      Method::kTypeII);
+  bool robust = IsRobustUnder(workload.programs,
+                              AnalysisSettings::AttrDepFk().WithIsolation(isolation),
+                              Method::kTypeII);
   if (!robust && certify) {
     SearchOptions options;
     options.domain_size = 2;

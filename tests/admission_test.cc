@@ -65,7 +65,7 @@ TEST(AdmissionControllerTest, ShedMetricTracksProtocolLevelRejections) {
   // A zero-capacity gate sheds every request; the protocol must answer each
   // with a retryable error and bump protocol.shed accordingly.
   AdmissionController gate(0);
-  SessionManager manager(1);
+  SessionManager manager;
   ProtocolOptions options;
   options.admission = &gate;
 

@@ -114,10 +114,9 @@ TEST_F(BtpTest, LtpDebugString) {
 }
 
 // A program without Finish() is read through its default linear structure.
-// Reading must not write: pool workers unfold the same shared program at
-// once (bench_isolation_matrix fans its cells out this way), so four
-// threads released together onto one fresh linear program must all see the
-// same single LTP. The TSan CI job runs this suite.
+// Reading must not write: btp/program.h lets several threads unfold one
+// shared program at once, so four threads released together onto one fresh
+// linear program must all see the same single LTP. The TSan CI job runs this suite.
 using BtpConcurrencyTest = BtpTest;
 
 TEST_F(BtpConcurrencyTest, FourThreadsUnfoldOneFreshLinearProgram) {

@@ -19,12 +19,12 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "btp/unfold.h"
 #include "robust/core_search.h"
 #include "robust/detector.h"
 #include "robust/masked_detector.h"
@@ -32,7 +32,6 @@
 #include "robust/subsets.h"
 #include "robust/verdict_cache.h"
 #include "summary/build_summary.h"
-#include "util/thread_pool.h"
 #include "workloads/auction.h"
 #include "workloads/smallbank.h"
 #include "support/random_workload.h"
@@ -120,21 +119,10 @@ TEST(ProgramSetTest, NarrowMaskRoundTripAndOrderParity) {
 
 // --- Shared helpers (mirroring tests/masked_detector_test.cc).
 
-struct GraphUnderTest {
-  SummaryGraph graph;
-  std::vector<std::pair<int, int>> ltp_range;
-};
+using GraphUnderTest = ProgramsSummary;
 
 GraphUnderTest Build(const std::vector<Btp>& programs, const AnalysisSettings& settings) {
-  std::vector<Ltp> all_ltps;
-  std::vector<std::pair<int, int>> ltp_range;
-  for (const Btp& program : programs) {
-    std::vector<Ltp> unfolded = UnfoldAtMost2(program);
-    ltp_range.push_back({static_cast<int>(all_ltps.size()),
-                         static_cast<int>(all_ltps.size() + unfolded.size())});
-    for (Ltp& ltp : unfolded) all_ltps.push_back(std::move(ltp));
-  }
-  return {BuildSummaryGraph(std::move(all_ltps), settings), std::move(ltp_range)};
+  return BuildProgramsSummary(programs, settings);
 }
 
 // --- Wide-mask parity on the detector: same verdicts AND same witnesses as
@@ -205,7 +193,7 @@ void ExpectCoreGuidedMatchesExhaustive(const std::vector<Btp>& programs,
   const SubsetReport exhaustive = oracle::SweepSubsets(detector, method);
   CoreSearchStats stats;
   Result<SubsetReport> result =
-      AnalyzeSubsetsCoreGuided(detector, method, nullptr, nullptr, &stats);
+      AnalyzeSubsetsCoreGuided(detector, method, nullptr, &stats);
   ASSERT_TRUE(result.ok()) << context;
   const SubsetReport& report = result.value();
 
@@ -229,25 +217,10 @@ void ExpectCoreGuidedMatchesExhaustive(const std::vector<Btp>& programs,
         << context << " mask=" << mask;
   }
 
-  // Accounting: the stats decompose the total query count (serial runs never
-  // chunk, so probe_queries stays zero here).
-  EXPECT_EQ(stats.detector_queries,
-            stats.candidate_queries + stats.probe_queries + stats.shrink_queries)
-      << context;
-  EXPECT_EQ(stats.probe_queries, 0) << context;
+  // Accounting: the stats decompose the total query count.
+  EXPECT_EQ(stats.detector_queries, stats.candidate_queries + stats.shrink_queries) << context;
   EXPECT_EQ(report.detector_queries, stats.detector_queries) << context;
   EXPECT_GT(stats.rounds, 0) << context;
-
-  // The parallel search is the same search: identical report, field for
-  // field (outcomes are merged in deterministic batch order).
-  ThreadPool pool(4);
-  Result<SubsetReport> parallel = AnalyzeSubsetsCoreGuided(detector, method, &pool);
-  ASSERT_TRUE(parallel.ok()) << context;
-  EXPECT_EQ(parallel.value().robust_masks, report.robust_masks) << context;
-  EXPECT_EQ(parallel.value().maximal_masks, report.maximal_masks) << context;
-  EXPECT_EQ(parallel.value().cores, report.cores) << context;
-  EXPECT_EQ(parallel.value().maximal_sets, report.maximal_sets) << context;
-  EXPECT_EQ(parallel.value().num_threads, 4) << context;
 }
 
 class CoreSearchRandomTest : public ::testing::TestWithParam<int> {};
@@ -293,8 +266,8 @@ TEST(CoreSearchEntryPointTest, TryAnalyzeMatchesSweepAndCountsQueries) {
   const SubsetReport exhaustive =
       oracle::SweepSubsets(workload.programs, settings, Method::kTypeII);
   CoreSearchStats stats;
-  Result<SubsetReport> result = TryAnalyzeSubsetsCoreGuided(workload.programs, settings,
-                                                            Method::kTypeII, nullptr, &stats);
+  Result<SubsetReport> result =
+      TryAnalyzeSubsetsCoreGuided(workload.programs, settings, Method::kTypeII, &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().robust_masks, exhaustive.robust_masks);
   EXPECT_EQ(result.value().maximal_masks, exhaustive.maximal_masks);
@@ -310,7 +283,7 @@ TEST(CoreSearchEntryPointTest, TryAnalyzeMatchesSweepAndCountsQueries) {
 
 // --- The narrow hooks of the per-mask entry points, lifted onto the wide
 // pair: consulted before the detector, fed once per evaluated mask, and
-// never called concurrently even though the search runs them on workers.
+// never called concurrently.
 
 TEST(CoreSearchEntryPointTest, NarrowHooksAreLiftedSerializedAndFedOncePerMask) {
   Workload workload = MakeAuctionN(4);  // 8 programs
@@ -338,8 +311,7 @@ TEST(CoreSearchEntryPointTest, NarrowHooksAreLiftedSerializedAndFedOncePerMask) 
     --in_flight;
   };
 
-  ThreadPool pool(4);
-  Result<SubsetReport> cold = AnalyzeSubsetsOnDetector(detector, Method::kTypeII, &pool, &hooks);
+  Result<SubsetReport> cold = AnalyzeSubsetsOnDetector(detector, Method::kTypeII, &hooks);
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(cold.value().robust_masks, exhaustive.robust_masks);
   EXPECT_EQ(cold.value().maximal_masks, exhaustive.maximal_masks);
@@ -355,7 +327,7 @@ TEST(CoreSearchEntryPointTest, NarrowHooksAreLiftedSerializedAndFedOncePerMask) 
 
   // A warm run answers every query from the narrow lookup.
   const size_t stored_before = stored.size();
-  Result<SubsetReport> warm = AnalyzeSubsetsOnDetector(detector, Method::kTypeII, &pool, &hooks);
+  Result<SubsetReport> warm = AnalyzeSubsetsOnDetector(detector, Method::kTypeII, &hooks);
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm.value().detector_queries, 0);
   EXPECT_EQ(stored.size(), stored_before);
@@ -447,10 +419,9 @@ TEST(CoreSearchWideTest, AuctionN12LatticeIsDetectorConsistent) {
   const AnalysisSettings settings = AnalysisSettings::AttrDep();
   GraphUnderTest t = Build(workload.programs, settings);
   MaskedDetector detector(t.graph, t.ltp_range, settings.policy());
-  ThreadPool pool(4);
   CoreSearchStats stats;
   Result<SubsetReport> result =
-      AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, &pool, nullptr, &stats);
+      AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, nullptr, &stats);
   ASSERT_TRUE(result.ok());
   const SubsetReport& report = result.value();
   EXPECT_TRUE(report.from_core_search);
@@ -480,9 +451,7 @@ TEST(CoreSearchWideTest, RandomWideWorkloadsAreDetectorConsistent) {
           AnalysisSettings::AttrDepFk().WithIsolation(isolation);
       GraphUnderTest t = Build(programs, settings);
       MaskedDetector detector(t.graph, t.ltp_range, settings.policy());
-      ThreadPool pool(4);
-      Result<SubsetReport> result =
-          AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, &pool);
+      Result<SubsetReport> result = AnalyzeSubsetsCoreGuided(detector, Method::kTypeII);
       ASSERT_TRUE(result.ok());
       ExpectLatticeConsistent(detector, result.value(), Method::kTypeII,
                               "wide seed=" + std::to_string(seed) + " / " + settings.name());
@@ -490,50 +459,6 @@ TEST(CoreSearchWideTest, RandomWideWorkloadsAreDetectorConsistent) {
     }
   }
 }
-
-// --- Parallel determinism in the wide regime: the chunked parallel search
-// must report the exact lattice the serial search reports (the canonicity
-// argument in core_search.h), under both isolation policies, across many
-// random 24-program workloads where no exhaustive oracle exists.
-
-class CoreSearchParallelDifferentialTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(CoreSearchParallelDifferentialTest, WideParallelLatticeIsBitIdenticalToSerial) {
-  test_support::RandomWorkloadGen gen(GetParam() * 7817 + 41);
-  Schema schema;
-  std::vector<Btp> programs = gen.Generate(schema, 24);
-  for (IsolationLevel isolation : {IsolationLevel::kMvrc, IsolationLevel::kRc}) {
-    const AnalysisSettings settings = AnalysisSettings::AttrDepFk().WithIsolation(isolation);
-    const std::string context =
-        "seed=" + std::to_string(GetParam()) + " / " + settings.name();
-    GraphUnderTest t = Build(programs, settings);
-    MaskedDetector detector(t.graph, t.ltp_range, settings.policy());
-    CoreSearchStats serial_stats;
-    Result<SubsetReport> serial =
-        AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, nullptr, nullptr, &serial_stats);
-    ASSERT_TRUE(serial.ok()) << context;
-    ThreadPool pool(8);
-    CoreSearchStats parallel_stats;
-    Result<SubsetReport> parallel =
-        AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, &pool, nullptr, &parallel_stats);
-    ASSERT_TRUE(parallel.ok()) << context;
-    EXPECT_EQ(parallel.value().cores, serial.value().cores) << context;
-    EXPECT_EQ(parallel.value().maximal_sets, serial.value().maximal_sets) << context;
-    EXPECT_EQ(parallel.value().maximal_masks, serial.value().maximal_masks) << context;
-    EXPECT_EQ(parallel.value().num_threads, 8) << context;
-    // Chunked extraction may change the query mix, never the accounting
-    // identity.
-    EXPECT_EQ(parallel_stats.detector_queries,
-              parallel_stats.candidate_queries + parallel_stats.probe_queries +
-                  parallel_stats.shrink_queries)
-        << context;
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CoreSearchParallelDifferentialTest, ::testing::Range(0, 20));
-
-// --- Safety valve.
 
 // --- Wide verdict-cache hooks: a second search over a warm cache answers
 // every query from the hooks and still produces the identical report.
@@ -557,21 +482,19 @@ TEST(CoreSearchWideHooksTest, WarmCacheAnswersEveryQuery) {
     cache.Store(fingerprinter.Of(subset), robust);
   };
 
-  ThreadPool pool(4);
   CoreSearchStats cold_stats;
   Result<SubsetReport> cold =
-      AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, &pool, &hooks, &cold_stats);
+      AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, &hooks, &cold_stats);
   ASSERT_TRUE(cold.ok());
   EXPECT_GT(cold_stats.detector_queries, 0);
   EXPECT_GT(cold_stats.cache_misses, 0);
   EXPECT_GT(cache.size(), 0u);
 
-  // Warm run: every IsRobust evaluation — candidates, probes, shrink tests —
-  // hits the cache; the detector is never consulted and the report is
-  // unchanged.
+  // Warm run: every IsRobust evaluation — candidates and shrink tests — hits
+  // the cache; the detector is never consulted and the report is unchanged.
   CoreSearchStats warm_stats;
   Result<SubsetReport> warm =
-      AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, &pool, &hooks, &warm_stats);
+      AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, &hooks, &warm_stats);
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm_stats.detector_queries, 0);
   EXPECT_EQ(warm_stats.cache_misses, 0);
@@ -579,18 +502,48 @@ TEST(CoreSearchWideHooksTest, WarmCacheAnswersEveryQuery) {
   EXPECT_GT(warm_stats.hook_hits, 0);
   EXPECT_EQ(warm.value().cores, cold.value().cores);
   EXPECT_EQ(warm.value().maximal_sets, cold.value().maximal_sets);
+}
 
-  // A serial run reuses the same cache too (wide hooks are not tied to the
-  // pool) — it follows a different round trajectory than the chunked
-  // parallel run, so it may still pay some queries, but cached subsets
-  // (every singleton core's shrink neighborhood, the full set) hit.
-  CoreSearchStats serial_stats;
-  Result<SubsetReport> serial =
-      AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, nullptr, &hooks, &serial_stats);
-  ASSERT_TRUE(serial.ok());
-  EXPECT_GT(serial_stats.cache_hits, 0);
-  EXPECT_EQ(serial.value().cores, cold.value().cores);
-  EXPECT_EQ(serial.value().maximal_sets, cold.value().maximal_sets);
+// The SubsetSweepHooks contract: the search invokes the wide callbacks on
+// the calling thread only, and never two at once, so they need no locking.
+TEST(CoreSearchWideHooksTest, HooksRunOnlyOnTheCallingThread) {
+  Workload workload = MakeAuctionN(12);  // 24 programs: wide regime
+  const AnalysisSettings settings = AnalysisSettings::AttrDep();
+  GraphUnderTest t = Build(workload.programs, settings);
+  MaskedDetector detector(t.graph, t.ltp_range, settings.policy());
+
+  const std::thread::id caller = std::this_thread::get_id();
+  std::map<ProgramSet, bool> cache;
+  int calls = 0;
+  int foreign_calls = 0;
+  int in_flight = 0;
+  int overlaps = 0;
+  auto enter = [&] {
+    ++calls;
+    if (std::this_thread::get_id() != caller) ++foreign_calls;
+    if (++in_flight > 1) ++overlaps;
+  };
+  SubsetSweepHooks hooks;
+  hooks.wide_lookup = [&](const ProgramSet& subset) -> std::optional<bool> {
+    enter();
+    std::optional<bool> verdict;
+    auto it = cache.find(subset);
+    if (it != cache.end()) verdict = it->second;
+    --in_flight;
+    return verdict;
+  };
+  hooks.wide_store = [&](const ProgramSet& subset, bool robust) {
+    enter();
+    cache.emplace(subset, robust);
+    --in_flight;
+  };
+
+  Result<SubsetReport> result = AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, &hooks);
+  ASSERT_TRUE(result.ok());
+  EXPECT_GT(calls, 0);
+  EXPECT_EQ(foreign_calls, 0);
+  EXPECT_EQ(overlaps, 0);
+  ExpectLatticeConsistent(detector, result.value(), Method::kTypeII, "auction12 hooks");
 }
 
 TEST(CoreSearchOptionsTest, LatticeBlowupIsAnErrorNotAnOom) {
@@ -605,7 +558,7 @@ TEST(CoreSearchOptionsTest, LatticeBlowupIsAnErrorNotAnOom) {
   CoreSearchOptions options;
   options.max_lattice_sets = 1;  // below SmallBank's real family of 3
   Result<SubsetReport> result =
-      AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, nullptr, nullptr, nullptr, options);
+      AnalyzeSubsetsCoreGuided(detector, Method::kTypeII, nullptr, nullptr, options);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.error().find("max_lattice_sets"), std::string::npos);
 }

@@ -4,12 +4,11 @@
 //
 // The contract under test: BuildSummaryGraph (statement-shape interning +
 // verdict-matrix bucket joins + LTP-shape cell-template replay) produces an
-// edge sequence bit-identical to BuildSummaryGraphLegacy (ncDepTable /
-// cDepTable + ncDepConds / cDepConds per statement pair) for every
-// workload, granularity and foreign-key setting — and the parallel build
-// matches the serial one.
+// edge sequence bit-identical to the oracle's BuildSummaryGraphLegacy
+// (ncDepTable / cDepTable + ncDepConds / cDepConds per statement pair,
+// tests/support/build_oracle.h) for every workload, granularity and
+// foreign-key setting.
 
-#include <atomic>
 #include <cstdint>
 #include <random>
 #include <set>
@@ -23,13 +22,16 @@
 #include "summary/build_summary.h"
 #include "summary/statement_interner.h"
 #include "summary/summary_graph.h"
-#include "util/thread_pool.h"
 #include "workloads/auction.h"
 #include "workloads/smallbank.h"
 #include "workloads/tpcc.h"
+#include "support/build_oracle.h"
 
 namespace mvrc {
 namespace {
+
+using oracle::BuildSummaryGraphLegacy;
+using oracle::SummaryEdgesBetween;
 
 const AnalysisSettings kAllSettings[] = {
     AnalysisSettings::TupleDep(), AnalysisSettings::AttrDep(),
@@ -194,25 +196,6 @@ TEST_P(InternedBuildRandomTest, MatchesLegacyBuilderOnEverySetting) {
   ExpectBuildersAgree(programs, "seed=" + std::to_string(GetParam()));
 }
 
-TEST_P(InternedBuildRandomTest, ParallelBuildMatchesSerial) {
-  RandomWorkloadGen gen(GetParam() * 31337 + 5);
-  Schema schema;
-  std::vector<Btp> programs = gen.Generate(schema);
-  std::vector<Ltp> ltps = UnfoldAtMost2(programs);
-  for (const AnalysisSettings& settings :
-       {AnalysisSettings::TupleDep(), AnalysisSettings::AttrDepFk()}) {
-    SummaryGraph serial = BuildSummaryGraph(ltps, settings);
-    for (int threads : {2, 4}) {
-      ThreadPool pool(threads);
-      SummaryGraph parallel = BuildSummaryGraph(ltps, settings, &pool);
-      ExpectSameGraph(parallel, serial,
-                      "seed=" + std::to_string(GetParam()) + " threads=" +
-                          std::to_string(threads) + " / " + settings.name());
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, InternedBuildRandomTest, ::testing::Range(0, 20));
 
 // --- Builtin workloads, including the FK-heavy paper benchmarks.
@@ -243,10 +226,6 @@ TEST(InternedBuildBuiltinTest, MatchesLegacyOnReplicatedWorkload) {
     SummaryGraph interned = BuildSummaryGraph(ltps, settings);
     SummaryGraph legacy = BuildSummaryGraphLegacy(ltps, settings);
     ExpectSameGraph(interned, legacy, std::string("replicated auction / ") + settings.name());
-    ThreadPool pool(3);
-    SummaryGraph parallel = BuildSummaryGraph(ltps, settings, &pool);
-    ExpectSameGraph(parallel, interned,
-                    std::string("replicated auction parallel / ") + settings.name());
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -432,41 +411,6 @@ TEST(SummaryGraphCsrTest, DistinctStatementEdgeDedupMatchesSetBaseline) {
     }
     EXPECT_EQ(graph.num_distinct_statement_edges(), static_cast<int>(distinct.size()))
         << workload.name;
-  }
-}
-
-// --- Chunked ParallelFor.
-
-TEST(ParallelForChunkedTest, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  for (int64_t count : {0, 1, 5, 64, 1000}) {
-    for (int64_t grain : {0, 1, 3, 16, 2000}) {
-      std::vector<std::atomic<int>> hits(count);
-      pool.ParallelForChunked(count, grain, [&hits](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-      });
-      for (int64_t i = 0; i < count; ++i) {
-        ASSERT_EQ(hits[i].load(), 1) << "count=" << count << " grain=" << grain;
-      }
-    }
-  }
-}
-
-TEST(ParallelForChunkedTest, WorkerSlotsAreExclusivePerChunk) {
-  ThreadPool pool(3);
-  constexpr int kCount = 500;
-  std::vector<int> slot_of(kCount, -1);
-  std::vector<std::atomic<int>> in_slot(3);
-  std::atomic<bool> overlapped{false};
-  pool.ParallelForWorkersChunked(kCount, 7, [&](int worker, int64_t begin, int64_t end) {
-    if (in_slot[worker].fetch_add(1) != 0) overlapped = true;
-    for (int64_t i = begin; i < end; ++i) slot_of[i] = worker;
-    in_slot[worker].fetch_sub(1);
-  });
-  EXPECT_FALSE(overlapped.load());
-  for (int i = 0; i < kCount; ++i) {
-    EXPECT_GE(slot_of[i], 0);
-    EXPECT_LT(slot_of[i], 3);
   }
 }
 

@@ -22,12 +22,16 @@
 #include "summary/isolation_policy.h"
 #include "workloads/policy_demo.h"
 #include "workloads/smallbank.h"
+#include "support/build_oracle.h"
 #include "support/cycle_oracle.h"
 #include "support/random_workload.h"
 #include "support/subset_oracle.h"
 
 namespace mvrc {
 namespace {
+
+using oracle::BuildSummaryGraphLegacy;
+using oracle::SummaryEdgesBetween;
 
 const IsolationPolicy& Mvrc() { return GetPolicy(IsolationLevel::kMvrc); }
 const IsolationPolicy& Rc() { return GetPolicy(IsolationLevel::kRc); }

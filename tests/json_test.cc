@@ -162,7 +162,7 @@ std::string Respond(SessionManager& manager, const std::string& line) {
 }
 
 TEST(ProtocolTest, ScriptedSessionSmoke) {
-  SessionManager manager(2);
+  SessionManager manager;
 
   Json load = Json::Parse(Respond(manager,
                                   R"({"cmd":"load_sql","session":"sb","builtin":"smallbank"})"))
@@ -208,7 +208,6 @@ TEST(ProtocolTest, ScriptedSessionSmoke) {
 
   Json global = Json::Parse(Respond(manager, R"({"cmd":"stats"})")).value();
   EXPECT_TRUE(global.GetBool("ok"));
-  EXPECT_EQ(global.GetInt("num_threads"), 2);
   EXPECT_EQ(global.Find("sessions")->size(), 1);
 
   Json dropped =
@@ -219,7 +218,7 @@ TEST(ProtocolTest, ScriptedSessionSmoke) {
 }
 
 TEST(ProtocolTest, SubsetsAfterRemovalReusesVerdicts) {
-  SessionManager manager(2);
+  SessionManager manager;
   ASSERT_TRUE(Json::Parse(Respond(manager,
                                   R"({"cmd":"load_sql","session":"sb","builtin":"smallbank"})"))
                   .value()
@@ -251,7 +250,7 @@ TEST(ProtocolTest, SubsetsAfterRemovalReusesVerdicts) {
 }
 
 TEST(ProtocolTest, AddReplaceCounterexampleFlow) {
-  SessionManager manager(1);
+  SessionManager manager;
   Json load = Json::Parse(Respond(manager,
                                   R"({"cmd":"load_sql","session":"a","builtin":"auction"})"))
                   .value();
@@ -303,7 +302,7 @@ TEST(ProtocolTest, AddReplaceCounterexampleFlow) {
 }
 
 TEST(ProtocolTest, ErrorResponsesNeverAbort) {
-  SessionManager manager(1);
+  SessionManager manager;
   const std::vector<std::string> bad_requests = {
       "not json at all",
       "[]",

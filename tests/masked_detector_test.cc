@@ -15,12 +15,10 @@
 
 #include <gtest/gtest.h>
 
-#include "btp/unfold.h"
 #include "robust/detector.h"
 #include "robust/masked_detector.h"
 #include "robust/subsets.h"
 #include "summary/build_summary.h"
-#include "util/thread_pool.h"
 #include "workloads/auction.h"
 #include "workloads/smallbank.h"
 #include "workloads/tpcc.h"
@@ -32,21 +30,10 @@ namespace mvrc {
 namespace {
 
 // A full-graph-plus-ranges bundle, as the subset sweep sees it.
-struct GraphUnderTest {
-  SummaryGraph graph;
-  std::vector<std::pair<int, int>> ltp_range;
-};
+using GraphUnderTest = ProgramsSummary;
 
 GraphUnderTest Build(const std::vector<Btp>& programs, const AnalysisSettings& settings) {
-  std::vector<Ltp> all_ltps;
-  std::vector<std::pair<int, int>> ltp_range;
-  for (const Btp& program : programs) {
-    std::vector<Ltp> unfolded = UnfoldAtMost2(program);
-    ltp_range.push_back({static_cast<int>(all_ltps.size()),
-                         static_cast<int>(all_ltps.size() + unfolded.size())});
-    for (Ltp& ltp : unfolded) all_ltps.push_back(std::move(ltp));
-  }
-  return {BuildSummaryGraph(std::move(all_ltps), settings), std::move(ltp_range)};
+  return BuildProgramsSummary(programs, settings);
 }
 
 std::vector<bool> KeepFor(uint32_t mask, const GraphUnderTest& t) {
@@ -165,10 +152,9 @@ TEST(MaskedDetectorScratchTest, ScratchIsReusableAcrossMasksAndMethods) {
 }
 
 // The oracle sweep on the detector must agree with a pruning-free full
-// enumeration, and the entry point — serial, and with per-worker scratches
-// under threads — must agree with the oracle sweep.
+// enumeration, and the entry point must agree with the oracle sweep.
 
-TEST(MaskedDetectorSweepTest, SweepMatchesFullEnumerationSerialAndParallel) {
+TEST(MaskedDetectorSweepTest, SweepMatchesFullEnumeration) {
   Workload workload = MakeAuctionN(3);
   GraphUnderTest t = Build(workload.programs, AnalysisSettings::AttrDepFk());
   MaskedDetector detector(t.graph, t.ltp_range);
@@ -183,17 +169,10 @@ TEST(MaskedDetectorSweepTest, SweepMatchesFullEnumerationSerialAndParallel) {
   const SubsetReport sweep = oracle::SweepSubsets(detector, Method::kTypeII);
   EXPECT_EQ(sweep.robust_masks, expected);
 
-  Result<SubsetReport> serial = AnalyzeSubsetsOnDetector(detector, Method::kTypeII);
-  ASSERT_TRUE(serial.ok());
-  EXPECT_EQ(serial.value().robust_masks, expected);
-  EXPECT_EQ(serial.value().maximal_masks, sweep.maximal_masks);
-
-  ThreadPool pool(4);
-  Result<SubsetReport> parallel =
-      AnalyzeSubsetsOnDetector(detector, Method::kTypeII, &pool);
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ(parallel.value().robust_masks, expected);
-  EXPECT_EQ(parallel.value().maximal_masks, sweep.maximal_masks);
+  Result<SubsetReport> report = AnalyzeSubsetsOnDetector(detector, Method::kTypeII);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report.value().robust_masks, expected);
+  EXPECT_EQ(report.value().maximal_masks, sweep.maximal_masks);
 }
 
 TEST(SubsetReportTest, IsRobustSubsetBinarySearchesSortedMasks) {

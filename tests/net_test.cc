@@ -588,7 +588,7 @@ TEST_F(NetServerTest, TcpResponsesAreByteIdenticalToStdioDispatch) {
   // Reference: the same dispatch path the stdio loop uses, fresh manager.
   std::vector<std::string> reference;
   {
-    SessionManager manager(1);
+    SessionManager manager;
     RequestDispatcher dispatcher(manager, ProtocolOptions(), size_t{1} << 20);
     for (const std::string& request : requests) {
       std::optional<std::string> response = dispatcher.OnLine(request);

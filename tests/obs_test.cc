@@ -1,6 +1,6 @@
 // Tests for the observability layer (src/obs/): histogram bucket geometry
 // and percentile accuracy against a brute-force oracle, striped counter and
-// histogram merges under ThreadPool stress, the kill switch, the trace
+// histogram merges under multi-threaded stress, the kill switch, the trace
 // ring's overwrite-oldest policy, and the Chrome trace_event JSON shape.
 
 #include <gtest/gtest.h>
@@ -8,12 +8,12 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/json.h"
-#include "util/thread_pool.h"
 
 namespace mvrc {
 namespace {
@@ -118,24 +118,25 @@ TEST(HistogramTest, ResetClearsEverything) {
 
 // --- Striped merges under concurrency.
 
-TEST(MetricsTest, CounterMergesStripesUnderThreadPoolStress) {
+TEST(MetricsTest, CounterMergesStripesUnderThreadStress) {
   MetricsRegistry registry;
   Counter* counter = registry.counter("stress.counter");
   Histogram* hist = registry.histogram("stress.hist");
-  constexpr int kTasks = 64;
+  constexpr int kThreads = 4;
+  constexpr int kTasks = 64;  // split evenly across the threads
   constexpr int kPerTask = 1000;
-  {
-    ThreadPool pool(4);
-    for (int t = 0; t < kTasks; ++t) {
-      pool.Submit([&] {
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int task = 0; task < kTasks / kThreads; ++task) {
         for (int i = 0; i < kPerTask; ++i) {
           counter->Add(1);
           hist->Record(i);
         }
-      });
-    }
-    pool.Wait();
+      }
+    });
   }
+  for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(counter->Value(), int64_t{kTasks} * kPerTask);
   Histogram::Snapshot snap = hist->Snap();
   EXPECT_EQ(snap.count, int64_t{kTasks} * kPerTask);

@@ -253,7 +253,7 @@ class SessionSnapshotTest : public ::testing::Test {
 };
 
 TEST_F(SessionSnapshotTest, RoundTripsThroughEveryJournaledMutation) {
-  SessionManager manager(1);
+  SessionManager manager;
   std::shared_ptr<WorkloadSession> session = NewSession(manager, "s");
   ASSERT_TRUE(session->LoadSql(SmallBankSql()).ok());
   ASSERT_TRUE(session->LoadSql(kTinySchemaSql).ok());
@@ -280,7 +280,7 @@ TEST_F(SessionSnapshotTest, RoundTripsThroughEveryJournaledMutation) {
 }
 
 TEST_F(SessionSnapshotTest, BuiltinLoadsReplayByName) {
-  SessionManager manager(1);
+  SessionManager manager;
   std::shared_ptr<WorkloadSession> session = NewSession(manager, "builtin");
   std::optional<Workload> auction = MakeBuiltinWorkload("auction");
   ASSERT_TRUE(auction.has_value());
@@ -297,7 +297,7 @@ TEST_F(SessionSnapshotTest, BuiltinLoadsReplayByName) {
 }
 
 TEST_F(SessionSnapshotTest, PrebuiltBtpSessionsAreSkippedNotFailed) {
-  SessionManager manager(1);
+  SessionManager manager;
   std::shared_ptr<WorkloadSession> session = NewSession(manager, "prebuilt");
   // No builtin name: the session holds Btps with no recorded source.
   std::optional<Workload> smallbank = MakeBuiltinWorkload("smallbank");
@@ -312,7 +312,7 @@ TEST_F(SessionSnapshotTest, PrebuiltBtpSessionsAreSkippedNotFailed) {
 }
 
 TEST_F(SessionSnapshotTest, CrcCleanButUnreplayablePayloadIsQuarantined) {
-  SessionManager manager(1);
+  SessionManager manager;
   std::shared_ptr<WorkloadSession> session = NewSession(manager, "s");
   ASSERT_TRUE(session->LoadSql(kTinySchemaSql).ok());
   Result<std::string> payload = EncodeSessionSnapshot(*session);
@@ -335,7 +335,7 @@ TEST_F(SessionSnapshotTest, CrcCleanButUnreplayablePayloadIsQuarantined) {
 }
 
 TEST_F(SessionSnapshotTest, RestoreSkipsSessionsAlreadyLive) {
-  SessionManager manager(1);
+  SessionManager manager;
   std::shared_ptr<WorkloadSession> session = NewSession(manager, "s");
   ASSERT_TRUE(session->LoadSql(kTinySchemaSql).ok());
   ASSERT_TRUE(TrySnapshotSession(*store_, *session).ok());
@@ -381,7 +381,7 @@ TEST(FaultMatrixTest, EveryFaultPointEveryHitRestoresOrQuarantines) {
       SCOPED_TRACE(std::string(point) + "@" + std::to_string(fire_at));
       TempDir dir;
       {
-        SessionManager manager(1);
+        SessionManager manager;
         std::shared_ptr<WorkloadSession> session =
             manager.GetOrCreate("s", AnalysisSettings::AttrDepFk());
         ASSERT_TRUE(session->LoadSql(SmallBankSql()).ok());

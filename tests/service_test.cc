@@ -287,23 +287,6 @@ TEST(WorkloadSessionTest, MutationErrorsLeaveSessionUntouched) {
   EXPECT_EQ(session.num_programs(), 5);
 }
 
-TEST(WorkloadSessionTest, ParallelSessionMatchesSerial) {
-  ThreadPool pool(4);
-  Workload workload = MakeAuctionN(3);
-  WorkloadSession parallel("p", AnalysisSettings::AttrDepFk(), &pool);
-  WorkloadSession serial("s", AnalysisSettings::AttrDepFk());
-  ASSERT_TRUE(parallel.LoadWorkload(workload).ok());
-  ASSERT_TRUE(serial.LoadWorkload(workload).ok());
-  EXPECT_EQ(parallel.Graph().edges(), serial.Graph().edges());
-  Result<SubsetReport> parallel_report = parallel.Subsets(Method::kTypeII);
-  Result<SubsetReport> serial_report = serial.Subsets(Method::kTypeII);
-  ASSERT_TRUE(parallel_report.ok());
-  ASSERT_TRUE(serial_report.ok());
-  EXPECT_EQ(parallel_report.value().robust_masks, serial_report.value().robust_masks);
-  EXPECT_EQ(parallel_report.value().maximal_masks, serial_report.value().maximal_masks);
-  ExpectMatchesScratch(parallel, "pooled auction(3) session");
-}
-
 // Generates n trivial single-select programs over one relation.
 std::string ManyProgramsSql(int n) {
   std::ostringstream os;
@@ -391,24 +374,8 @@ TEST(WorkloadSessionTest, CheckThenSubsetsAnswersTheFullSetFromCache) {
   EXPECT_EQ(cached.value().cores, report.value().cores);
 }
 
-TEST(TryAnalyzeSubsetsTest, SharedPoolMatchesOwnedPool) {
-  Workload workload = MakeSmallBank();
-  SubsetReport owned =
-      AnalyzeSubsets(workload.programs, AnalysisSettings::AttrDepFk().WithThreads(4),
-                     Method::kTypeII);
-  ThreadPool pool(4);
-  Result<SubsetReport> shared = TryAnalyzeSubsets(
-      workload.programs, AnalysisSettings::AttrDepFk(), Method::kTypeII, &pool);
-  ASSERT_TRUE(shared.ok());
-  EXPECT_EQ(shared.value().num_threads, 4);
-  EXPECT_EQ(shared.value().robust_masks, owned.robust_masks);
-  EXPECT_EQ(shared.value().maximal_masks, owned.maximal_masks);
-}
-
 TEST(SessionManagerTest, GetOrCreateFindDrop) {
-  SessionManager manager(1);
-  EXPECT_EQ(manager.num_threads(), 1);
-  EXPECT_EQ(manager.pool(), nullptr);
+  SessionManager manager;
 
   auto a = manager.GetOrCreate("a", AnalysisSettings::AttrDepFk());
   auto a_again = manager.GetOrCreate("a", AnalysisSettings::TupleDep());
@@ -425,10 +392,8 @@ TEST(SessionManagerTest, GetOrCreateFindDrop) {
   EXPECT_EQ(manager.SessionNames(), (std::vector<std::string>{"b"}));
 }
 
-TEST(SessionManagerTest, SharedPoolAcrossSessionsAndThreads) {
-  SessionManager manager(4);
-  EXPECT_EQ(manager.num_threads(), 4);
-  ASSERT_NE(manager.pool(), nullptr);
+TEST(SessionManagerTest, ConcurrentGetOrCreateSharesOneSession) {
+  SessionManager manager;
 
   // Concurrent GetOrCreate on the same name resolves to one session.
   std::vector<std::shared_ptr<WorkloadSession>> seen(8);
@@ -443,8 +408,7 @@ TEST(SessionManagerTest, SharedPoolAcrossSessionsAndThreads) {
   for (const auto& session : seen) distinct.insert(session.get());
   EXPECT_EQ(distinct.size(), 1u);
 
-  // Sessions created by the manager analyze on the shared pool and still
-  // match from-scratch results.
+  // Sessions created by the manager match from-scratch results.
   auto session = manager.GetOrCreate("sb", AnalysisSettings::AttrDepFk());
   ASSERT_TRUE(session->LoadWorkload(MakeSmallBank()).ok());
   ExpectMatchesScratch(*session, "manager-owned smallbank session");

@@ -79,17 +79,5 @@ TEST(SettingsStringTest, DisplayNamesCarryIsolationSuffix) {
                "tpl dep @ rc");
 }
 
-TEST(SettingsStringTest, ThreadsAndIsolationAreOrthogonal) {
-  const AnalysisSettings settings =
-      AnalysisSettings::AttrDep().WithThreads(8).WithIsolation(IsolationLevel::kRc);
-  EXPECT_EQ(settings.num_threads, 8);
-  EXPECT_EQ(settings.isolation, IsolationLevel::kRc);
-  EXPECT_EQ(settings.granularity, Granularity::kAttribute);
-  // num_threads is an execution knob: not encoded, not compared.
-  EXPECT_EQ(settings.ToString(), "attr+rc");
-  EXPECT_TRUE(settings.SameAnalysis(settings.WithThreads(1)));
-  EXPECT_FALSE(settings.SameAnalysis(settings.WithIsolation(IsolationLevel::kMvrc)));
-}
-
 }  // namespace
 }  // namespace mvrc

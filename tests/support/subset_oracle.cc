@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "btp/unfold.h"
 #include "summary/build_summary.h"
 #include "util/check.h"
 
@@ -76,16 +75,9 @@ SubsetReport SweepSubsets(const MaskedDetector& detector, Method method) {
 
 SubsetReport SweepSubsets(const std::vector<Btp>& programs, const AnalysisSettings& settings,
                           Method method) {
-  std::vector<Ltp> all_ltps;
-  std::vector<std::pair<int, int>> ltp_range;
-  for (const Btp& program : programs) {
-    std::vector<Ltp> unfolded = UnfoldAtMost2(program);
-    ltp_range.push_back({static_cast<int>(all_ltps.size()),
-                         static_cast<int>(all_ltps.size() + unfolded.size())});
-    for (Ltp& ltp : unfolded) all_ltps.push_back(std::move(ltp));
-  }
-  const SummaryGraph graph = BuildSummaryGraph(std::move(all_ltps), settings.WithThreads(1));
-  return SweepSubsets(MaskedDetector(graph, ltp_range, settings.policy()), method);
+  const ProgramsSummary summary = BuildProgramsSummary(programs, settings);
+  return SweepSubsets(MaskedDetector(summary.graph, summary.ltp_range, settings.policy()),
+                      method);
 }
 
 }  // namespace mvrc::oracle

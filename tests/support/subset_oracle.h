@@ -30,8 +30,7 @@ namespace mvrc::oracle {
 SubsetReport SweepSubsets(const MaskedDetector& detector, Method method);
 
 /// The same sweep from programs: unfolds them, builds the full summary graph
-/// under `settings` (serially) and sweeps a detector over it under
-/// settings.policy().
+/// under `settings` and sweeps a detector over it under settings.policy().
 SubsetReport SweepSubsets(const std::vector<Btp>& programs, const AnalysisSettings& settings,
                           Method method);
 

@@ -8,6 +8,7 @@
 
 #include <functional>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -39,6 +40,8 @@ struct WorkloadCase {
   std::string name;
   Workload (*make)();
 };
+
+void PrintTo(const WorkloadCase& workload, std::ostream* os) { *os << workload.name; }
 
 class TheoremValidation : public ::testing::TestWithParam<WorkloadCase> {};
 
